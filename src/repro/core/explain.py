@@ -1,10 +1,12 @@
 """End-to-end CaJaDE (§4): enumerate join graphs, mine each, rank globally.
 
 ``explain`` is the system entry point for a user question: it computes the
-provenance table, enumerates join graphs up to λ_#edges (Algorithm 2),
-filters them with ``isValid`` (PK-connectivity + estimated APT cost), runs
-MineAPT per surviving graph, and returns the union of per-graph top-k
-patterns ranked by F-score (the paper's global ranking, §2.5/§4).
+provenance table, splits it into the question's two sides once (raising
+``ValueError`` when a question tuple has no provenance), enumerates join
+graphs up to λ_#edges (Algorithm 2), filters them with ``isValid``
+(PK-connectivity + estimated APT cost), runs MineAPT per surviving graph,
+and returns the union of per-graph top-k patterns ranked by F-score (the
+paper's global ranking, §2.5/§4).
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from repro.core.join_graph import (
     enumerate_join_graphs,
     is_valid,
 )
+from repro.core.metrics import question_sides
 from repro.core.mine import Explanation, MineResult, StepTimer, mine_apt
 from repro.core.schema_graph import SchemaGraph
 
@@ -53,6 +56,8 @@ def explain(
     params = params or CajadeParams()
     timer = StepTimer()
     pt = compute_pt(db, query)
+    with timer.step("Sampling for F1"):
+        sides = question_sides(pt, t1, t2, params.f1_samp, params.seed)
 
     with timer.step("JG Enum."):
         jgs = enumerate_join_graphs(sg, query, params.n_edges)
@@ -65,7 +70,7 @@ def explain(
     mined: dict[int, MineResult] = {}
     all_expl: list[Explanation] = []
     for i, jg in valid:
-        res = mine_apt(db, pt, jg, t1, t2, params)
+        res = mine_apt(db, pt, jg, t1, t2, params, sides)
         mined[i] = res
         all_expl.extend(res.explanations)
         timer.merge(res.timer)

@@ -11,13 +11,22 @@ F-score sampling (λ_F1-samp) samples *PT tuples* (not APT rows) with a
 deterministic hash so numerator and denominator stay consistent, and so that
 the same sample is drawn across batches.
 
+``question_sides`` binds a question to PT once per ``explain()``: it tags
+each PT row with its side and F-score-sample flag, drops the rows on neither
+side and counts the side sizes in one job. APTs built on that sided PT are
+collected once (``apt_projection``) and scored on the driver by
+``SupportEvaluator``; ``compute_support`` is the distributed path for APTs
+too large to collect.
+
 ``brute_force_support`` is a pandas reference implementation used by tests
 to validate the distributed path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -27,6 +36,9 @@ from repro.core.apt import APT
 from repro.core.pattern import Pattern
 
 _BATCH = 200  # patterns per Spark job; keeps codegen size bounded
+SIDE = "__side"      # 1: provenance of t1, 2: of t2 (see side_col)
+F1_FLAG = "__f1"     # the PT tuple is in the λ_F1-samp sample
+ROW_HASH = "__hash"  # content hash of an APT projection row
 
 
 @dataclass(frozen=True)
@@ -75,16 +87,76 @@ class Support:
 def _group_cond(group_cols: tuple[str, ...], t: dict[str, object]) -> Column:
     cond = F.lit(True)
     for k in group_cols:
-        cond = cond & (F.col(k) == F.lit(t[k]))
+        cond = cond & F.col(k).eqNullSafe(F.lit(t[k]))
     return cond
 
 
-def _sample_pred(rate: float | None, seed: int) -> Column | None:
+def side_col(
+    group_cols: tuple[str, ...],
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+) -> Column:
+    """The side of the question a PT or APT row is on: 1 for t1's
+    provenance, 2 for t2's (for a single-point question, every other PT
+    tuple), NULL for neither. Group-by values compare null-safely, so a NULL
+    group value is an answer tuple of its own, as in GROUP BY.
+    :func:`pandas_side` is the same rule over pandas frames."""
+    c1 = _group_cond(group_cols, t1)
+    c2 = ~c1 if t2 is None else _group_cond(group_cols, t2)
+    return F.when(c1, 1).when(c2, 2)
+
+
+def pandas_side(
+    pdf: pd.DataFrame,
+    group_cols: tuple[str, ...],
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+) -> np.ndarray:
+    """:func:`side_col` over a pandas frame, with 0 for neither side."""
+
+    def cond(t: dict[str, object]) -> np.ndarray:
+        m = np.ones(len(pdf), dtype=bool)
+        for k in group_cols:
+            col = pdf[k]
+            m &= (col.isna() if pd.isna(t[k]) else col == t[k]).to_numpy(bool)
+        return m
+
+    c1 = cond(t1)
+    c2 = ~c1 if t2 is None else cond(t2) & ~c1
+    return np.where(c1, 1, np.where(c2, 2, 0))
+
+
+def _f1_flag(rate: float | None, seed: int) -> Column:
+    """λ_F1-samp membership of a PT tuple: a hash of its ``__pt_id``, so
+    every batch, join graph and path draws the same sample."""
     if rate is None or rate >= 1.0:
-        return None
+        return F.lit(True)
     return F.pmod(F.xxhash64(F.col(PT_ID), F.lit(seed)), F.lit(10000)) < int(
         rate * 10000
     )
+
+
+def _with_side(
+    df: DataFrame,
+    group_cols: tuple[str, ...],
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+) -> DataFrame:
+    return df.withColumn(SIDE, side_col(group_cols, t1, t2)).filter(
+        F.col(SIDE).isNotNull()
+    )
+
+
+def _side_sizes(sided: DataFrame, flag: Column) -> tuple[int, int, int, int]:
+    """(n1, n2, sampled n1, sampled n2) of a sided frame in one Spark job."""
+    side = F.col(SIDE)
+    row = sided.agg(
+        F.count(F.when(side == 1, 1)),
+        F.count(F.when(side == 2, 1)),
+        F.count(F.when((side == 1) & flag, 1)),
+        F.count(F.when((side == 2) & flag, 1)),
+    ).collect()[0]
+    return tuple(int(v) for v in row)
 
 
 def pt_sizes(
@@ -96,20 +168,74 @@ def pt_sizes(
 ) -> tuple[int, int]:
     """(|PT(Q,D,t1)|, |PT(Q,D,t2)|) under the F-score sample. For
     single-point questions (t2 is None) the second side is PT \\ PT(t1)."""
-    df = pt.df
-    pred = _sample_pred(f1_samp, seed)
-    if pred is not None:
-        df = df.filter(pred)
-    c1 = _group_cond(pt.group_cols, t1)
-    agg = df.select(
-        F.sum(F.when(c1, 1).otherwise(0)).alias("n1"),
-        (
-            F.sum(F.when(_group_cond(pt.group_cols, t2), 1).otherwise(0))
+    sided = _with_side(pt.df, pt.group_cols, t1, t2)
+    return _side_sizes(sided, _f1_flag(f1_samp, seed))[2:]
+
+
+@dataclass(frozen=True)
+class QuestionSides:
+    """A user question bound to ``PT(Q, D)``: ``pt`` holds only the PT rows
+    on the question's two sides, tagged with their side (``__side``) and
+    their λ_F1-samp membership (``__f1``); ``n1``/``n2`` are the side sizes
+    under that sample (a1, a2 of Def. 7). ``f1_samp`` is the rate in
+    effect: None when every tuple counts."""
+
+    pt: ProvenanceTable
+    n1: int
+    n2: int
+    f1_samp: float | None
+
+
+def question_sides(
+    pt: ProvenanceTable,
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+    f1_samp: float | None = None,
+    seed: int = 0,
+) -> QuestionSides:
+    """Split PT into the question's sides once per ``explain()``, with one
+    Spark job for the exact and the sampled side sizes.
+
+    Raises ``ValueError`` when a side has no provenance. When the F-score
+    sample misses a side entirely, every tuple counts instead."""
+    sided = _with_side(pt.df, pt.group_cols, t1, t2)
+    flag = _f1_flag(f1_samp, seed)
+    n1, n2, s1, s2 = _side_sizes(sided, flag)
+    if n1 == 0:
+        raise ValueError(f"question tuple t1={t1} has no provenance in PT(Q, D)")
+    if n2 == 0:
+        raise ValueError(
+            f"question tuple t2={t2} has no provenance in PT(Q, D)"
             if t2 is not None
-            else F.sum(F.when(~c1, 1).otherwise(0))
-        ).alias("n2"),
-    ).collect()[0]
-    return int(agg["n1"] or 0), int(agg["n2"] or 0)
+            else f"every provenance tuple belongs to t1={t1}: "
+            "PT(Q, D) \\ PT(Q, D, t1) is empty"
+        )
+    sampled = f1_samp is not None and f1_samp < 1.0 and s1 > 0 and s2 > 0
+    if sampled:
+        n1, n2 = s1, s2
+    else:
+        flag = F.lit(True)
+    return QuestionSides(
+        pt=replace(pt, df=sided.withColumn(F1_FLAG, flag), n_rows=n1 + n2),
+        n1=n1,
+        n2=n2,
+        f1_samp=f1_samp if sampled else None,
+    )
+
+
+def apt_projection(apt: APT, cols: Iterable[str], seed: int = 0) -> DataFrame:
+    """What mining reads of an APT built on :attr:`QuestionSides.pt`:
+    (``__pt_id``, ``__side``, ``__f1``, ``cols``, ``__hash``). ``__hash`` is
+    a content hash of the row, so an order by it does not depend on how the
+    APT is partitioned."""
+    cols = list(cols)
+    return apt.df.select(
+        PT_ID,
+        SIDE,
+        F1_FLAG,
+        *cols,
+        F.xxhash64(PT_ID, *cols, F.lit(seed)).alias(ROW_HASH),
+    )
 
 
 def compute_support(
@@ -125,17 +251,9 @@ def compute_support(
     if not patterns:
         return []
     n1, n2 = pt_sizes(pt, t1, t2, f1_samp, seed)
-    df = apt.df
-    pred = _sample_pred(f1_samp, seed)
-    if pred is not None:
-        df = df.filter(pred)
-    c1 = _group_cond(apt.group_cols, t1)
-    side = F.when(c1, 1)
-    if t2 is not None:
-        side = side.when(_group_cond(apt.group_cols, t2), 2)
-    else:
-        side = side.otherwise(2)
-    df = df.withColumn("__side", side).filter(F.col("__side").isNotNull())
+    df = _with_side(apt.df, apt.group_cols, t1, t2).filter(
+        _f1_flag(f1_samp, seed)
+    )
 
     out: list[Support] = []
     for lo in range(0, len(patterns), _BATCH):
@@ -145,16 +263,16 @@ def compute_support(
             for i, p in enumerate(chunk)
         ]
         stage1 = (
-            df.select(PT_ID, "__side", *cols)
-            .groupBy(PT_ID, "__side")
+            df.select(PT_ID, SIDE, *cols)
+            .groupBy(PT_ID, SIDE)
             .agg(*[F.max(f"__m{i}").alias(f"__c{i}") for i in range(len(chunk))])
         )
         rows = (
-            stage1.groupBy("__side")
+            stage1.groupBy(SIDE)
             .agg(*[F.sum(f"__c{i}").alias(f"__c{i}") for i in range(len(chunk))])
             .collect()
         )
-        cov = {int(r["__side"]): r for r in rows}
+        cov = {int(r[SIDE]): r for r in rows}
         for i in range(len(chunk)):
             c1v = int(cov[1][f"__c{i}"]) if 1 in cov else 0
             c2v = int(cov[2][f"__c{i}"]) if 2 in cov else 0
@@ -165,60 +283,30 @@ def compute_support(
 class SupportEvaluator:
     """Vectorised support evaluation over a collected APT projection.
 
-    One Spark job materialises the F1-sampled APT restricted to the two
-    question sides and projected to (``__pt_id``, side, pattern columns);
-    every subsequent pattern evaluation is then a numpy pass on the driver.
-    This mirrors the paper's design — λ_F1-samp exists precisely to make
-    F-score calculation operate on a bounded sample — while keeping the
-    data-heavy steps (PT, APT joins, sampling) in Spark. For APTs whose
-    sampled projection exceeds ``max_rows``, callers should fall back to
-    :func:`compute_support` (the fully distributed path).
+    ``pdf`` is an :func:`apt_projection` collected to the driver; only its
+    rows in the F-score sample (``__f1``) are kept, and every pattern
+    evaluation is a numpy pass over them. ``n1``/``n2`` are the sampled side
+    sizes (:class:`QuestionSides`). This mirrors the paper's design —
+    λ_F1-samp exists precisely to make F-score calculation operate on a
+    bounded sample — while the data-heavy steps (PT, APT joins) stay in
+    Spark. APTs too large for the driver are scored by
+    :func:`compute_support` (the fully distributed path) instead.
     """
 
-    def __init__(
-        self,
-        apt: APT,
-        pt: ProvenanceTable,
-        attrs: list[str],
-        t1: dict[str, object],
-        t2: dict[str, object] | None,
-        f1_samp: float | None = None,
-        seed: int = 0,
-    ) -> None:
-        self.n1, self.n2 = pt_sizes(pt, t1, t2, f1_samp, seed)
-        df = apt.df
-        pred = _sample_pred(f1_samp, seed)
-        if pred is not None:
-            df = df.filter(pred)
-        c1 = _group_cond(apt.group_cols, t1)
-        side = F.when(c1, 1)
-        if t2 is not None:
-            side = side.when(_group_cond(apt.group_cols, t2), 2)
-        else:
-            side = side.otherwise(2)
-        cols = [c for c in dict.fromkeys(attrs) if c in apt.df.columns]
-        pdf = (
-            df.withColumn("__side", side)
-            .filter(F.col("__side").isNotNull())
-            .select(PT_ID, "__side", *cols)
-            .toPandas()
-        )
-        self.pdf = pdf
-        import numpy as np
-
+    def __init__(self, pdf: pd.DataFrame, n1: int, n2: int) -> None:
+        self.n1, self.n2 = n1, n2
+        self.pdf = pdf = pdf[pdf[F1_FLAG].to_numpy(bool)]
         codes, uniques = pd.factorize(pdf[PT_ID])
         self._codes = codes
         self._n_ptids = len(uniques)
-        self._side1 = (pdf["__side"] == 1).to_numpy()
-        self._side2 = (pdf["__side"] == 2).to_numpy()
-        self._np = np
+        self._side1 = (pdf[SIDE] == 1).to_numpy()
+        self._side2 = (pdf[SIDE] == 2).to_numpy()
 
     @property
     def n_rows(self) -> int:
         return len(self.pdf)
 
     def support(self, pattern: Pattern) -> Support:
-        np = self._np
         mask = pattern.pandas_mask(self.pdf)
         cov = np.zeros(self._n_ptids, dtype=bool)
         cov[self._codes[mask & self._side1]] = True
@@ -241,21 +329,14 @@ def brute_force_support(
     t2: dict[str, object] | None,
 ) -> Support:
     """Reference implementation of Def. 7 over pandas frames (tests only)."""
-
-    def side_mask(pdf: pd.DataFrame, t: dict[str, object]) -> pd.Series:
-        m = pd.Series(True, index=pdf.index)
-        for k in group_cols:
-            m &= pdf[k] == t[k]
-        return m
-
-    m1_pt = side_mask(pt_pdf, t1)
-    m2_pt = side_mask(pt_pdf, t2) if t2 is not None else ~m1_pt
-    match = pattern.pandas_mask(apt_pdf)
-    covered_ids = set(apt_pdf.loc[match, PT_ID])
-    m1_apt = side_mask(apt_pdf, t1)
-    m2_apt = side_mask(apt_pdf, t2) if t2 is not None else ~m1_apt
-    cov1 = len(set(apt_pdf.loc[m1_apt, PT_ID]) & covered_ids)
-    cov2 = len(set(apt_pdf.loc[m2_apt, PT_ID]) & covered_ids)
+    side_pt = pandas_side(pt_pdf, group_cols, t1, t2)
+    side_apt = pandas_side(apt_pdf, group_cols, t1, t2)
+    covered_ids = set(apt_pdf.loc[pattern.pandas_mask(apt_pdf), PT_ID])
+    cov1 = len(set(apt_pdf.loc[side_apt == 1, PT_ID]) & covered_ids)
+    cov2 = len(set(apt_pdf.loc[side_apt == 2, PT_ID]) & covered_ids)
     return Support(
-        cov1=cov1, n1=int(m1_pt.sum()), cov2=cov2, n2=int(m2_pt.sum())
+        cov1=cov1,
+        n1=int((side_pt == 1).sum()),
+        cov2=cov2,
+        n2=int((side_pt == 2).sum()),
     )

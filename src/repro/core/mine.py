@@ -3,15 +3,27 @@
 Phases, each timed under the step names the paper's runtime-breakdown
 tables use (Fig. 7/7a/9c/9d):
 
-  Materialize APTs   — build + cache + count the APT for Ω.
+  Materialize APTs   — build the APT for Ω on the question's sided PT
+                       and collect its projection (``__pt_id``, side,
+                       F-score-sample flag, pattern columns, content hash)
+                       with one Arrow ``toPandas``: the graph's only Spark
+                       action.
   Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
-  Sampling for F1    — set up the deterministic PT-tuple sample and its
-                       per-side sizes (denominators of recall).
-  F-score Calc.      — batched Spark evaluation of pattern supports.
+  Sampling for F1    — keep the collected rows of the deterministic PT-tuple
+                       sample (driver only; the per-side sizes come from
+                       ``question_sides``, once per question).
+  F-score Calc.      — vectorised evaluation of pattern supports.
   Refine Patterns    — numeric-predicate refinement rounds (Prop. 3.1
                        recall pruning; refinement evaluation cost is billed
                        here).
+
+The mining sample is the rows whose content hash falls in a λ_pat-samp
+share, in hash order, capped at ``pat_samp_cap``: a function of the APT's
+content, not of its partitioning. A join graph whose estimated APT size
+(isValid's estimate) exceeds ``_MAX_DRIVER_ROWS`` is not collected: the
+same sample is drawn in Spark and supports are scored by the distributed
+``compute_support``.
 
 Returns the diversity-ranked top-k explanations for both orientations of
 the user question plus the per-step timings and APT stats.
@@ -22,16 +34,28 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
+import pandas as pd
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.substrate.catalog import Database
-from repro.substrate.provenance import ProvenanceTable
-from repro.core.apt import APT, materialize_apt
+from repro.substrate.provenance import PT_ID, ProvenanceTable
+from repro.core.apt import materialize_apt
 from repro.core.config import CajadeParams
 from repro.core.feature_selection import filter_attrs
-from repro.core.join_graph import JoinGraph
+from repro.core.join_graph import JoinGraph, estimate_apt_rows
 from repro.core.lca import lca_candidates
-from repro.core.metrics import Support, compute_support
+from repro.core.metrics import (
+    F1_FLAG,
+    ROW_HASH,
+    SIDE,
+    QuestionSides,
+    Support,
+    SupportEvaluator,
+    apt_projection,
+    compute_support,
+    question_sides,
+)
 from repro.core.pattern import Pattern
 from repro.core.refine import numeric_fragments, refinements
 from repro.core.topk import diverse_topk
@@ -109,33 +133,35 @@ class MineResult:
     n_candidates: int = 0
 
 
-def _sided_sample(apt: APT, t1, t2, rate: float, cap: int, seed: int):
-    """Pandas mining sample restricted to the two sides + its binary label."""
-    from pyspark.sql import functions as F
+def _sample_threshold(rate: float) -> int:
+    """Rows whose ``pmod(__hash, 10^4)`` is below this form the mining
+    sample: a λ_pat-samp share, oversampled 1.3× so that the cap rather
+    than the rate binds when rate · |APT| is near it."""
+    return int(min(1.0, rate * 1.3) * 10000)
 
-    df = apt.df
-    cond1 = F.lit(True)
-    for k in apt.group_cols:
-        cond1 = cond1 & (F.col(k) == F.lit(t1[k]))
-    if t2 is not None:
-        cond2 = F.lit(True)
-        for k in apt.group_cols:
-            cond2 = cond2 & (F.col(k) == F.lit(t2[k]))
-    else:
-        cond2 = ~cond1
-    df = df.withColumn(
-        "__side", F.when(cond1, 1).when(cond2, 2)
-    ).filter(F.col("__side").isNotNull())
-    full = df
-    if rate < 1.0:
-        df = df.sample(fraction=min(1.0, rate * 1.3), seed=seed)
-    pdf = df.limit(cap).toPandas()
-    if len(pdf) < 20:
+
+def _mining_sample(proj: pd.DataFrame, rate: float, cap: int) -> pd.DataFrame:
+    """The LCA / random-forest sample of a collected APT projection: the
+    rate-selected rows in hash order, at most ``cap`` of them."""
+    ordered = proj.sort_values([ROW_HASH, PT_ID], kind="stable")
+    sample = ordered[ordered[ROW_HASH] % 10000 < _sample_threshold(rate)]
+    if len(sample) < 20:
         # Tiny APT: the rate sample is too small to mine from — fall back
         # to the first ``cap`` rows (still bounded).
-        pdf = full.limit(cap).toPandas()
-    label = (pdf["__side"] == 1).to_numpy(dtype=int)
-    return pdf.drop(columns=["__side"]), label
+        sample = ordered
+    return sample.head(cap).reset_index(drop=True)
+
+
+def _spark_mining_sample(proj: DataFrame, rate: float, cap: int) -> pd.DataFrame:
+    """:func:`_mining_sample` computed in Spark, for APTs too large to
+    collect: the same rows in the same order."""
+
+    def first(df: DataFrame) -> pd.DataFrame:
+        return df.orderBy(ROW_HASH, PT_ID).limit(cap).toPandas()
+
+    threshold = F.pmod(F.col(ROW_HASH), F.lit(10000)) < _sample_threshold(rate)
+    sample = first(proj.filter(threshold))
+    return sample if len(sample) >= 20 else first(proj)
 
 
 def mine_apt(
@@ -145,15 +171,27 @@ def mine_apt(
     t1: dict[str, object],
     t2: dict[str, object] | None,
     params: CajadeParams,
+    sides: QuestionSides | None = None,
 ) -> MineResult:
+    """MineAPT for ``jg``. ``sides`` is :func:`question_sides` of ``pt``
+    under ``params``; ``explain`` computes it once for all join graphs."""
     timer = StepTimer()
+    if sides is None:
+        with timer.step("Sampling for F1"):
+            sides = question_sides(pt, t1, t2, params.f1_samp, params.seed)
+    # One collect of the APT's projection feeds every mining step; APTs
+    # whose estimated size (isValid's) would not fit stay in Spark.
+    on_driver = estimate_apt_rows(jg, db, pt.n_rows) <= _MAX_DRIVER_ROWS
 
     with timer.step("Materialize APTs"):
-        apt = materialize_apt(db, pt, jg)
-        apt.df = apt.df.cache()
-        apt_rows = apt.df.count()
+        apt = materialize_apt(db, sides.pt, jg)
+        proj_df = apt_projection(apt, apt.pattern_cols, params.seed)
+        if on_driver:
+            proj = proj_df.toPandas()
+            apt_rows = len(proj)
+        else:
+            apt_rows = apt.df.count()
     if apt_rows == 0:
-        apt.df.unpersist()
         return MineResult([], timer, apt_rows=0)
 
     # With feature selection disabled ("Naive", §5.1) the mining sample is
@@ -163,9 +201,16 @@ def mine_apt(
         "Feature Selection" if params.feature_selection else "Gen. Pat. Cand."
     )
     with timer.step(fs_step):
-        sample_pdf, label = _sided_sample(
-            apt, t1, t2, params.pat_samp, params.pat_samp_cap, params.seed
-        )
+        if on_driver:
+            sample_pdf = _mining_sample(
+                proj, params.pat_samp, params.pat_samp_cap
+            )
+        else:
+            sample_pdf = _spark_mining_sample(
+                proj_df, params.pat_samp, params.pat_samp_cap
+            )
+        label = (sample_pdf[SIDE] == 1).to_numpy(dtype=int)
+        sample_pdf = sample_pdf.drop(columns=[SIDE, F1_FLAG, ROW_HASH])
         usable = list(apt.pattern_cols)
         exclude = tuple(
             c for c in sample_pdf.columns if c not in usable
@@ -182,33 +227,17 @@ def mine_apt(
     with timer.step("Gen. Pat. Cand."):
         cands = lca_candidates(sample_pdf, fr.cat_attrs, max_patterns=200)
 
-    from repro.core.metrics import SupportEvaluator, pt_sizes
-
-    pattern_attrs = list(dict.fromkeys(fr.num_attrs + fr.cat_attrs))
     evaluator: SupportEvaluator | None = None
-    with timer.step("Sampling for F1"):
-        f1_samp = params.f1_samp if params.f1_samp < 1.0 else None
-        est_rows = apt_rows * (f1_samp or 1.0)
-        if est_rows <= _MAX_DRIVER_ROWS:
-            evaluator = SupportEvaluator(
-                apt, pt, pattern_attrs, t1, t2, f1_samp, params.seed
-            )
-            n1, n2 = evaluator.n1, evaluator.n2
-        else:
-            n1, n2 = pt_sizes(pt, t1, t2, f1_samp, params.seed)
-    if (n1 == 0 or n2 == 0) and f1_samp is not None:
-        # The F-score sample missed one side entirely; fall back to exact.
-        f1_samp = None
+    if on_driver:
         with timer.step("Sampling for F1"):
-            if evaluator is not None:
-                evaluator = SupportEvaluator(
-                    apt, pt, pattern_attrs, t1, t2, None, params.seed
-                )
+            evaluator = SupportEvaluator(proj, sides.n1, sides.n2)
 
     def score(pats: list[Pattern]) -> list[Support]:
         if evaluator is not None:
             return evaluator.supports(pats)
-        return compute_support(apt, pt, pats, t1, t2, f1_samp, params.seed)
+        return compute_support(
+            apt, pt, pats, t1, t2, sides.f1_samp, params.seed
+        )
 
     with timer.step("F-score Calc."):
         supports = score(cands)
@@ -271,7 +300,6 @@ def mine_apt(
         pattern_of=lambda e: e.pattern,
         fscore_of=lambda e: e.fscore,
     )
-    apt.df.unpersist()
     return MineResult(
         top,
         timer,

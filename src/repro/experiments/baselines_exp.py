@@ -12,9 +12,8 @@ from repro.core.apt import materialize_apt
 from repro.core.feature_selection import filter_attrs, split_attr_types
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 from repro.core.lca import lca_candidates
-from repro.core.metrics import SupportEvaluator
 from repro.core.schema_graph import fk_cond
-from repro.experiments.common import get_dataset
+from repro.experiments.common import driver_evaluator, get_dataset
 from repro.substrate.provenance import compute_pt
 from repro.workload import Q_NBA3, Q_NBA4, UQ_1
 
@@ -48,7 +47,8 @@ def et_comparison_table(
     """
     db, _sg = get_dataset(spark, "nba")
     pt = compute_pt(db, Q_NBA4)
-    apt = materialize_apt(db, pt, _pgs_player_jg())
+    jg = _pgs_player_jg()
+    apt = materialize_apt(db, pt, jg)
     apt.df = apt.df.cache()
     n_rows = apt.df.count()
     pdf = apt.df.toPandas()
@@ -64,7 +64,7 @@ def et_comparison_table(
     et_pdf = discretize(pdf[attrs].copy(), fr.num_attrs)
     et_pdf[outcome] = label
 
-    ev = SupportEvaluator(apt, pt, usable, t1, t2)
+    ev = driver_evaluator(db, pt, jg, UQ_1)
     rows = []
     et_patterns_last: list[str] = []
     for n in sample_sizes:

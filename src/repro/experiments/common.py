@@ -16,7 +16,11 @@ from dataclasses import dataclass
 from pyspark.sql import SparkSession
 
 from repro.substrate.catalog import Database
+from repro.substrate.provenance import ProvenanceTable
+from repro.core.apt import materialize_apt
 from repro.core.config import CajadeParams
+from repro.core.join_graph import JoinGraph
+from repro.core.metrics import SupportEvaluator, apt_projection, question_sides
 from repro.core.schema_graph import SchemaGraph
 from repro.workload import (
     MIMIC_QUESTIONS,
@@ -52,6 +56,17 @@ def get_dataset(
         db.cache_all()
         _DB_CACHE[key] = (db, sg)
     return _DB_CACHE[key]
+
+
+def driver_evaluator(
+    db: Database, pt: ProvenanceTable, jg: JoinGraph, uq: UserQuestion
+) -> SupportEvaluator:
+    """Exact supports for ``uq`` over APT(Ω), evaluated on the driver after
+    one collect of the APT's projection (as ``mine_apt`` does)."""
+    sides = question_sides(pt, uq.t1, uq.t2)
+    apt = materialize_apt(db, sides.pt, jg)
+    pdf = apt_projection(apt, apt.pattern_cols).toPandas()
+    return SupportEvaluator(pdf, sides.n1, sides.n2)
 
 
 def question_for(dataset: str) -> UserQuestion:

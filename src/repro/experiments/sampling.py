@@ -13,7 +13,11 @@ from repro.core.metrics import SupportEvaluator
 from repro.core.feature_selection import split_attr_types
 from repro.core.schema_graph import fk_cond
 from repro.baselines.ranking import ndcg_of_ranking, top_k_recall
-from repro.experiments.common import bench_params, get_dataset, question_for
+from repro.experiments.common import (
+    bench_params,
+    driver_evaluator,
+    get_dataset,
+)
 from repro.substrate.provenance import compute_pt
 from repro.workload import Q_MIMIC4, Q_NBA1, UQ_MIMIC4, UQ_NBA1
 
@@ -41,24 +45,26 @@ def _mimic_omega4() -> JoinGraph:
     )
 
 
-def _four_apts(spark: SparkSession, sf: float | None = None):
-    """(label, structure, apt, pt, uq) for Ω1..Ω4 as in Fig 10a."""
+def _four_graphs(spark: SparkSession, sf: float | None = None):
+    """(label, structure, db, jg, pt, uq) for Ω1..Ω4 as in Fig 10a."""
     nba_db, _ = get_dataset(spark, "nba", sf) if sf else get_dataset(spark, "nba")
     mimic_db, _ = get_dataset(spark, "mimic", sf) if sf else get_dataset(spark, "mimic")
-    out = []
     pt_nba = compute_pt(nba_db, Q_NBA1)
-    out.append(("Ω1", "PT", materialize_apt(nba_db, pt_nba, empty_join_graph()), pt_nba, UQ_NBA1))
-    out.append(("Ω2", "PT - player_salary - player", materialize_apt(nba_db, pt_nba, _nba_omega2()), pt_nba, UQ_NBA1))
     pt_mimic = compute_pt(mimic_db, Q_MIMIC4)
-    out.append(("Ω3", "PT", materialize_apt(mimic_db, pt_mimic, empty_join_graph()), pt_mimic, UQ_MIMIC4))
-    out.append(("Ω4", "PT - patients_admit_info - patients", materialize_apt(mimic_db, pt_mimic, _mimic_omega4()), pt_mimic, UQ_MIMIC4))
-    return out
+    return [
+        ("Ω1", "PT", nba_db, empty_join_graph(), pt_nba, UQ_NBA1),
+        ("Ω2", "PT - player_salary - player", nba_db, _nba_omega2(), pt_nba, UQ_NBA1),
+        ("Ω3", "PT", mimic_db, empty_join_graph(), pt_mimic, UQ_MIMIC4),
+        ("Ω4", "PT - patients_admit_info - patients", mimic_db, _mimic_omega4(), pt_mimic, UQ_MIMIC4),
+    ]
 
 
 def apt_stats_table(spark: SparkSession) -> tuple[list[dict], dict]:
-    """Fig 10a: #rows and #pattern attributes of the four APTs."""
+    """Fig 10a: #rows and #pattern attributes of the four APTs (all of
+    PT(Q, D), not only the question's two sides that mining reads)."""
     rows = []
-    for label, structure, apt, _pt, _uq in _four_apts(spark):
+    for label, structure, db, jg, pt, _uq in _four_graphs(spark):
+        apt = materialize_apt(db, pt, jg)
         rows.append(
             {
                 "join graph": label,
@@ -70,11 +76,9 @@ def apt_stats_table(spark: SparkSession) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def _lca_top10(apt, pt, uq, rate: float, seed: int = 0):
+def _lca_top10(apt, ev: SupportEvaluator, rate: float, seed: int = 0):
     """LCA candidates at a sample rate, ranked by recall; returns the
     top-10 descriptions and the candidate-generation runtime."""
-    from pyspark.sql import functions as F
-
     df = apt.df
     if rate < 1.0:
         df = df.sample(fraction=rate, seed=seed)
@@ -83,7 +87,6 @@ def _lca_top10(apt, pt, uq, rate: float, seed: int = 0):
     t0 = time.perf_counter()
     cands = lca_candidates(pdf, cat, max_patterns=100)
     gen_s = time.perf_counter() - t0
-    ev = SupportEvaluator(apt, pt, list(apt.pattern_cols), uq.t1, uq.t2)
     sups = ev.supports(cands)
     ranked = sorted(
         zip(cands, sups),
@@ -99,11 +102,13 @@ def lca_sampling_table(
     """Fig 10b–e: per-APT LCA sample rate vs runtime and top-10 match
     against the no-sampling ground truth."""
     rows = []
-    for label, structure, apt, pt, uq in _four_apts(spark):
+    for label, structure, db, jg, pt, uq in _four_graphs(spark):
+        apt = materialize_apt(db, pt, jg)
         apt.df = apt.df.cache()
-        truth, _, _ = _lca_top10(apt, pt, uq, 1.0)
+        ev = driver_evaluator(db, pt, jg, uq)
+        truth, _, _ = _lca_top10(apt, ev, 1.0)
         for rate in rates:
-            top, gen_s, n_rows = _lca_top10(apt, pt, uq, rate)
+            top, gen_s, n_rows = _lca_top10(apt, ev, rate)
             rows.append(
                 {
                     "join graph": label,

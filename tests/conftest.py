@@ -125,3 +125,26 @@ def toy_pt(toy_db, toy_query):
     from repro.substrate.provenance import compute_pt
 
     return compute_pt(toy_db, toy_query)
+
+
+@pytest.fixture
+def action_counter(spark, monkeypatch):
+    """Counts the DataFrame actions (count/collect/toPandas) that run; an
+    action another one calls internally is not counted again."""
+    cls = type(spark.range(1))
+    state = {"n": 0, "depth": 0}
+
+    def counting(orig):
+        def wrapped(*args, **kwargs):
+            state["n"] += state["depth"] == 0
+            state["depth"] += 1
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                state["depth"] -= 1
+
+        return wrapped
+
+    for name in ("count", "collect", "toPandas"):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    return state

@@ -90,3 +90,131 @@ def test_nba_explain_small(nba_db):
     )
     assert res.n_mined >= 1
     assert res.explanations
+
+
+@pytest.mark.parametrize(
+    "t1, t2, missing",
+    [
+        ({"season": "1999-00"}, {"season": "2012-13"}, "t1={'season': '1999-00'}"),
+        ({"season": "2015-16"}, {"season": "1999-00"}, "t2={'season': '1999-00'}"),
+    ],
+)
+def test_question_tuple_without_provenance_raises(
+    toy_db, toy_sg, toy_query, t1, t2, missing
+):
+    with pytest.raises(ValueError, match="no provenance") as err:
+        explain(toy_db, toy_sg, toy_query, t1, t2, CajadeParams(n_edges=1))
+    assert missing in str(err.value)
+
+
+def test_one_action_per_mined_graph(
+    toy_db, toy_sg, toy_query, action_counter, monkeypatch
+):
+    """A warm call runs one action for PT, one for the question's sides and
+    one per mined join graph."""
+    import repro.core.explain as explain_mod
+
+    params = CajadeParams(n_edges=1, k=5, f1_samp=0.5, pat_samp=1.0)
+    args = (toy_db, toy_sg, toy_query, {"season": "2015-16"},
+            {"season": "2012-13"}, params)
+    explain(*args)  # warm: catalog statistics are cached
+    per_graph = []
+    mine = explain_mod.mine_apt
+
+    def counted_mine(*a, **k):
+        before = action_counter["n"]
+        out = mine(*a, **k)
+        per_graph.append(action_counter["n"] - before)
+        return out
+
+    monkeypatch.setattr(explain_mod, "mine_apt", counted_mine)
+    before = action_counter["n"]
+    res = explain(*args)
+    assert res.n_mined >= 1
+    assert per_graph == [1] * res.n_mined
+    assert action_counter["n"] - before == res.n_mined + 2
+
+
+# -- the mining dataflow on MIMIC Q4 (two mined join graphs) ---------------
+
+# The small cap makes the mining sample's row order choose its rows.
+MIMIC_PARAMS = CajadeParams(
+    n_edges=1, q_cost=5e5, k=5, f1_samp=0.3, pat_samp=0.2, pat_samp_cap=60,
+    seed=3,
+)
+
+
+def _signature(res, k):
+    return [
+        (e.jg.describe(), e.pattern.describe(), e.primary, e.support)
+        for e in res.explanations[:k]
+    ]
+
+
+def _mimic_explain(mimic_db, t2="Private", params=MIMIC_PARAMS):
+    from repro.data.mimic import mimic_schema_graph
+    from repro.workload import UQ_MIMIC4 as uq
+
+    return explain(
+        mimic_db, mimic_schema_graph(), uq.query, uq.t1,
+        uq.t2 if t2 else None, params,
+    )
+
+
+@pytest.fixture(scope="module")
+def mimic_result(mimic_db):
+    return _mimic_explain(mimic_db)
+
+
+def test_topk_independent_of_shuffle_partitions(spark, mimic_db, mimic_result):
+    want = _signature(mimic_result, MIMIC_PARAMS.k)
+    assert mimic_result.n_mined >= 2 and want
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    try:
+        for n in ("1", "7", "64"):
+            spark.conf.set(key, n)
+            got = _signature(_mimic_explain(mimic_db), MIMIC_PARAMS.k)
+            assert got == want, f"{key}={n}"
+    finally:
+        spark.conf.set(key, saved)
+
+
+def test_distributed_fallback_matches_driver_path(
+    mimic_db, mimic_result, monkeypatch
+):
+    import repro.core.mine as mine_mod
+
+    monkeypatch.setattr(mine_mod, "_MAX_DRIVER_ROWS", 0)
+    got = _mimic_explain(mimic_db)
+    assert _signature(got, MIMIC_PARAMS.k) == _signature(
+        mimic_result, MIMIC_PARAMS.k
+    )
+    assert [r.apt_rows for r in got.mined.values()] == [
+        r.apt_rows for r in mimic_result.mined.values()
+    ]
+
+
+@pytest.mark.parametrize("t2", ["Private", None])
+def test_reported_supports_match_fresh_apts(mimic_db, mimic_result, t2):
+    from repro.core.apt import materialize_apt
+    from repro.core.metrics import compute_support, question_sides
+    from repro.workload import UQ_MIMIC4 as uq
+
+    res = mimic_result if t2 else _mimic_explain(mimic_db, t2=None)
+    t2_ = uq.t2 if t2 else None
+    f1 = question_sides(
+        res.pt, uq.t1, t2_, MIMIC_PARAMS.f1_samp, MIMIC_PARAMS.seed
+    ).f1_samp
+    assert f1 == MIMIC_PARAMS.f1_samp
+    by_graph = {}
+    for e in res.explanations:
+        by_graph.setdefault(e.jg, []).append(e)
+    assert by_graph
+    for jg, expls in by_graph.items():
+        apt = materialize_apt(mimic_db, res.pt, jg)
+        want = compute_support(
+            apt, res.pt, [e.pattern for e in expls], uq.t1, t2_, f1,
+            MIMIC_PARAMS.seed,
+        )
+        assert [e.support for e in expls] == want

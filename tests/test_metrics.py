@@ -6,9 +6,11 @@ from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 from repro.core.metrics import (
     Support,
     SupportEvaluator,
+    apt_projection,
     brute_force_support,
     compute_support,
     pt_sizes,
+    question_sides,
 )
 from repro.core.pattern import Pattern, Predicate
 from repro.core.schema_graph import fk_cond
@@ -93,14 +95,18 @@ def test_spark_matches_brute_force(apt, toy_pt):
         )
 
 
-def test_evaluator_matches_spark(apt, toy_pt):
+def test_evaluator_matches_spark(apt, toy_db, toy_pt):
     pats = [
         CURRY23,
         P(("player_game_scoring_pts", ">=", 14)),
         P(("player_game_scoring_player", "=", "D. Green")),
     ]
     attrs = ["player_game_scoring_player", "player_game_scoring_pts"]
-    ev = SupportEvaluator(apt, toy_pt, attrs, T1, T2)
+    sides = question_sides(toy_pt, T1, T2)
+    sided = materialize_apt(toy_db, sides.pt, apt.jg)
+    ev = SupportEvaluator(
+        apt_projection(sided, attrs).toPandas(), sides.n1, sides.n2
+    )
     got = ev.supports(pats)
     want = compute_support(apt, toy_pt, pats, T1, T2)
     assert [(s.cov1, s.n1, s.cov2, s.n2) for s in got] == [
@@ -154,3 +160,73 @@ def test_batching_many_patterns(apt, toy_pt):
 
 def test_empty_pattern_list(apt, toy_pt):
     assert compute_support(apt, toy_pt, [], T1, T2) == []
+
+
+@pytest.fixture(scope="module")
+def null_group_pt(spark):
+    """A PT with a NULL group-by value: seasons A, A, B, NULL."""
+    from repro.substrate.catalog import Database
+    from repro.substrate.provenance import compute_pt
+    from repro.substrate.query import AggQuery
+
+    game = spark.createDataFrame(
+        [(1, "A", 10), (2, "A", 30), (3, "B", 20), (4, None, 40)],
+        "id int, season string, pts int",
+    )
+    db = Database(spark)
+    db.add("null_game", game, ("id",))
+    db.cache_all()
+    query = AggQuery(
+        tables=(("null_game", "g"),), group_by=(("g.season", "season"),)
+    )
+    return db, compute_pt(db, query)
+
+
+@pytest.mark.parametrize(
+    "t1, t2, sizes",
+    [
+        ({"season": "A"}, None, (2, 2)),  # NULL-season tuple is on side 2
+        ({"season": None}, {"season": "A"}, (1, 2)),
+        ({"season": "B"}, {"season": None}, (1, 1)),
+    ],
+)
+def test_null_group_value_sides_agree(null_group_pt, t1, t2, sizes):
+    from repro.core.join_graph import empty_join_graph
+
+    db, pt = null_group_pt
+    apt = materialize_apt(db, pt, empty_join_graph())
+    pats = [Pattern(), P(("prov_null_game_pts", ">=", 25))]
+    assert pt_sizes(pt, t1, t2) == sizes
+    spark_sup = compute_support(apt, pt, pats, t1, t2)
+    apt_pdf, pt_pdf = apt.df.toPandas(), pt.df.toPandas()
+    brute = [
+        brute_force_support(apt_pdf, pt_pdf, ("season",), p, t1, t2)
+        for p in pats
+    ]
+    sides = question_sides(pt, t1, t2)
+    sided = materialize_apt(db, sides.pt, empty_join_graph())
+    ev = SupportEvaluator(
+        apt_projection(sided, ["prov_null_game_pts"]).toPandas(),
+        sides.n1,
+        sides.n2,
+    )
+    assert (sides.n1, sides.n2) == sizes
+    assert spark_sup == brute == ev.supports(pats)
+    # The empty pattern covers every tuple of both sides.
+    assert (spark_sup[0].cov1, spark_sup[0].cov2) == sizes
+
+
+def test_question_sides_fall_back_to_exact_when_sample_misses_a_side(toy_pt):
+    # Side 2 has one PT tuple; a tiny rate misses it, so every tuple counts.
+    sides = question_sides(toy_pt, T1, T2, f1_samp=0.0001, seed=0)
+    assert (sides.n1, sides.n2, sides.f1_samp) == (3, 1, None)
+    assert sides.pt.df.filter("__f1").count() == 4
+
+
+def test_question_sides_restrict_pt_to_the_two_sides(toy_pt):
+    sides = question_sides(toy_pt, T1, T2)
+    assert sides.pt.n_rows == 4
+    rows = sides.pt.df.select("season", "__side").distinct().collect()
+    assert {(r["season"], r["__side"]) for r in rows} == {
+        ("2015-16", 1), ("2012-13", 2)
+    }

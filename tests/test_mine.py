@@ -108,3 +108,31 @@ def test_step_timer_merge():
     a.merge(b)
     assert a.times == {"x": 3.0, "y": 3.0}
     assert a.total == 6.0
+
+
+def test_one_action_per_mined_graph(toy_db, toy_pt, params, action_counter):
+    from repro.core.join_graph import estimate_apt_rows
+    from repro.core.metrics import question_sides
+
+    sides = question_sides(toy_pt, T1, T2, params.f1_samp, params.seed)
+    for jg in (OMEGA1, empty_join_graph()):
+        estimate_apt_rows(jg, toy_db, toy_pt.n_rows)  # catalog stats, cached
+        before = action_counter["n"]
+        res = mine_apt(toy_db, toy_pt, jg, T1, T2, params, sides)
+        assert res.explanations
+        assert action_counter["n"] - before == 1, jg.structure()
+
+
+def test_mining_the_pt_graph_keeps_the_pt_cached(
+    toy_db, toy_sg, toy_query, params
+):
+    """Ω_0's APT is PT itself; mining it must not drop PT's cache."""
+    from repro.core.explain import explain
+    from repro.substrate.provenance import compute_pt
+
+    pt = compute_pt(toy_db, toy_query)
+    assert pt.df.storageLevel.useMemory
+    mine_apt(toy_db, pt, empty_join_graph(), T1, T2, params)
+    assert pt.df.storageLevel.useMemory
+    res = explain(toy_db, toy_sg, toy_query, T1, T2, params)
+    assert res.pt.df.storageLevel.useMemory
