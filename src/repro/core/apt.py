@@ -20,15 +20,17 @@ plus the surviving context columns.
 """
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable, prov_col
-from repro.core.join_graph import PT_NODE, JoinGraph
+from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 
 
 @dataclass
@@ -85,6 +87,22 @@ def _side_col(
     return f"{prefixes[nid]}_{attr}"
 
 
+def _edge_cond(e: JGEdge, prefixes: dict[int, str]) -> Column:
+    """An edge's condition over APT columns: its equi-join pairs and its
+    constant constraints."""
+    conds = [
+        F.col(_side_col(e.n1, e.rel1, la, prefixes))
+        == F.col(_side_col(e.n2, e.rel2, ra, prefixes))
+        for la, ra in e.cond.pairs
+    ]
+    for side, attr, value in e.cond.consts:
+        nid, rel = (e.n1, e.rel1) if side == "l" else (e.n2, e.rel2)
+        conds.append(F.col(_side_col(nid, rel, attr, prefixes)) == F.lit(value))
+    if not conds:
+        raise ValueError("edge with empty join condition")
+    return reduce(operator.and_, conds)
+
+
 def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
     """Build ``APT(Q, D, Ω)`` as a DataFrame (lazy; caller decides caching)."""
     prefixes = _node_prefixes(jg)
@@ -113,6 +131,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
                 raise ValueError(f"join graph is not connected to PT: {jg}")
             continue
         stall = 0
+        cond = _edge_cond(e, prefixes)
         if new_side is not None:
             new_nid = e.n1 if new_side == "l" else e.n2
             rel = jg.node_labels[new_nid]
@@ -124,36 +143,16 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
             )
             context_cols.extend(f"{pfx}_{a}" for a in db.attrs(rel))
             col_attr.update({f"{pfx}_{a}": a for a in db.attrs(rel)})
-            cond = None
-            for la, ra in e.cond.pairs:
-                lcol = _side_col(e.n1, e.rel1, la, prefixes)
-                rcol = _side_col(e.n2, e.rel2, ra, prefixes)
-                c = F.col(lcol) == F.col(rcol)
-                cond = c if cond is None else (cond & c)
-                # The new node's join keys equal the other side — drop them.
-                dropped.append(lcol if new_side == "l" else rcol)
-            for side, attr, value in e.cond.consts:
-                nid = e.n1 if side == "l" else e.n2
-                rel_ = e.rel1 if side == "l" else e.rel2
-                c = F.col(_side_col(nid, rel_, attr, prefixes)) == F.lit(value)
-                cond = c if cond is None else (cond & c)
-            if cond is None:
-                raise ValueError("edge with empty join condition")
+            # The new node's join keys equal the other side — drop them.
+            dropped.extend(
+                _side_col(e.n1, e.rel1, la, prefixes)
+                if new_side == "l"
+                else _side_col(e.n2, e.rel2, ra, prefixes)
+                for la, ra in e.cond.pairs
+            )
             df = df.join(right, on=cond, how="inner")
             joined.add(new_nid)
         else:
-            cond = None
-            for la, ra in e.cond.pairs:
-                lcol = _side_col(e.n1, e.rel1, la, prefixes)
-                rcol = _side_col(e.n2, e.rel2, ra, prefixes)
-                c = F.col(lcol) == F.col(rcol)
-                cond = c if cond is None else (cond & c)
-            for side, attr, value in e.cond.consts:
-                nid = e.n1 if side == "l" else e.n2
-                rel_ = e.rel1 if side == "l" else e.rel2
-                c = F.col(_side_col(nid, rel_, attr, prefixes)) == F.lit(value)
-                cond = c if cond is None else (cond & c)
-            assert cond is not None
             df = df.filter(cond)
     keep_context = [c for c in dict.fromkeys(context_cols) if c not in set(dropped)]
     df = df.drop(*[c for c in set(dropped) if c in df.columns])

@@ -1,12 +1,13 @@
 """End-to-end CaJaDE (§4): enumerate join graphs, mine each, rank globally.
 
 ``explain`` is the system entry point for a user question: it computes the
-provenance table, splits it into the question's two sides once (raising
-``ValueError`` when a question tuple has no provenance), enumerates join
-graphs up to λ_#edges (Algorithm 2), filters them with ``isValid``
-(PK-connectivity + estimated APT cost), runs MineAPT per surviving graph,
-and returns the union of per-graph top-k patterns ranked by F-score (the
-paper's global ranking, §2.5/§4).
+provenance table (memoised per Database), enumerates join graphs up to
+λ_#edges (Algorithm 2), filters them with ``isValid`` (PK-connectivity +
+estimated APT cost), splits PT into the question's two sides and collects
+every surviving graph's APT projection in one Spark action (raising
+``ValueError`` when a question tuple has no provenance), runs MineAPT per
+graph, and returns the union of per-graph top-k patterns ranked by F-score
+(the paper's global ranking, §2.5/§4).
 """
 from __future__ import annotations
 
@@ -21,8 +22,13 @@ from repro.core.join_graph import (
     enumerate_join_graphs,
     is_valid,
 )
-from repro.core.metrics import question_sides
-from repro.core.mine import Explanation, MineResult, StepTimer, mine_apt
+from repro.core.mine import (
+    Explanation,
+    MineResult,
+    StepTimer,
+    collect_sides,
+    mine_apt,
+)
 from repro.core.schema_graph import SchemaGraph
 
 
@@ -56,8 +62,6 @@ def explain(
     params = params or CajadeParams()
     timer = StepTimer()
     pt = compute_pt(db, query)
-    with timer.step("Sampling for F1"):
-        sides = question_sides(pt, t1, t2, params.f1_samp, params.seed)
 
     with timer.step("JG Enum."):
         jgs = enumerate_join_graphs(sg, query, params.n_edges)
@@ -66,6 +70,8 @@ def explain(
             for i, jg in enumerate(jgs)
             if is_valid(jg, db, pt.n_rows, params.q_cost)
         ]
+    with timer.step("Materialize APTs"):
+        sides = collect_sides(db, pt, [jg for _, jg in valid], t1, t2, params)
 
     mined: dict[int, MineResult] = {}
     all_expl: list[Explanation] = []

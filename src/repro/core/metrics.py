@@ -11,34 +11,41 @@ F-score sampling (λ_F1-samp) samples *PT tuples* (not APT rows) with a
 deterministic hash so numerator and denominator stay consistent, and so that
 the same sample is drawn across batches.
 
-``question_sides`` binds a question to PT once per ``explain()``: it tags
-each PT row with its side and F-score-sample flag, drops the rows on neither
-side and counts the side sizes in one job. APTs built on that sided PT are
-collected once (``apt_projection``) and scored on the driver by
-``SupportEvaluator``; ``compute_support`` is the distributed path for APTs
-too large to collect.
+``collect_question`` binds a question to PT once per ``explain()``: it tags
+each PT row with its side and F-score-sample flag and drops the rows on
+neither side. One Arrow collect then returns the side sizes and the
+projection (``apt_projection``) of every APT built on that sided PT; the
+projections are scored on the driver by ``SupportEvaluator``.
+``compute_support`` is the distributed path for APTs too large to collect.
 
 ``brute_force_support`` is a pandas reference implementation used by tests
 to validate the distributed path.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
+from repro.substrate.catalog import Database
 from repro.substrate.provenance import PT_ID, ProvenanceTable
-from repro.core.apt import APT
+from repro.core.apt import APT, materialize_apt
+from repro.core.join_graph import JoinGraph
 from repro.core.pattern import Pattern
 
 _BATCH = 200  # patterns per Spark job; keeps codegen size bounded
 SIDE = "__side"      # 1: provenance of t1, 2: of t2 (see side_col)
 F1_FLAG = "__f1"     # the PT tuple is in the λ_F1-samp sample
 ROW_HASH = "__hash"  # content hash of an APT projection row
+GRAPH = "__g"        # union branch of a collected row (collect_question)
+SIZES = ("__n1", "__n2", "__s1", "__s2")  # exact and sampled side sizes
 
 
 @dataclass(frozen=True)
@@ -147,16 +154,15 @@ def _with_side(
     )
 
 
-def _side_sizes(sided: DataFrame, flag: Column) -> tuple[int, int, int, int]:
-    """(n1, n2, sampled n1, sampled n2) of a sided frame in one Spark job."""
+def _size_cols(flag: Column) -> list[Column]:
+    """Aggregates of a sided frame: n1, n2, sampled n1, sampled n2."""
     side = F.col(SIDE)
-    row = sided.agg(
-        F.count(F.when(side == 1, 1)),
-        F.count(F.when(side == 2, 1)),
-        F.count(F.when((side == 1) & flag, 1)),
-        F.count(F.when((side == 2) & flag, 1)),
-    ).collect()[0]
-    return tuple(int(v) for v in row)
+    return [
+        F.count(F.when(side == 1, 1)).alias(SIZES[0]),
+        F.count(F.when(side == 2, 1)).alias(SIZES[1]),
+        F.count(F.when((side == 1) & flag, 1)).alias(SIZES[2]),
+        F.count(F.when((side == 2) & flag, 1)).alias(SIZES[3]),
+    ]
 
 
 def pt_sizes(
@@ -169,7 +175,8 @@ def pt_sizes(
     """(|PT(Q,D,t1)|, |PT(Q,D,t2)|) under the F-score sample. For
     single-point questions (t2 is None) the second side is PT \\ PT(t1)."""
     sided = _with_side(pt.df, pt.group_cols, t1, t2)
-    return _side_sizes(sided, _f1_flag(f1_samp, seed))[2:]
+    row = sided.agg(*_size_cols(_f1_flag(f1_samp, seed))).collect()[0]
+    return int(row[SIZES[2]]), int(row[SIZES[3]])
 
 
 @dataclass(frozen=True)
@@ -178,12 +185,17 @@ class QuestionSides:
     on the question's two sides, tagged with their side (``__side``) and
     their λ_F1-samp membership (``__f1``); ``n1``/``n2`` are the side sizes
     under that sample (a1, a2 of Def. 7). ``f1_samp`` is the rate in
-    effect: None when every tuple counts."""
+    effect: None when every tuple counts. ``collected`` maps each join graph
+    collected with the question to its APT (built on ``pt``) and that APT's
+    :func:`apt_projection` over its pattern columns, as a pandas frame."""
 
     pt: ProvenanceTable
     n1: int
     n2: int
     f1_samp: float | None
+    collected: dict[JoinGraph, tuple[APT, pd.DataFrame]] = field(
+        default_factory=dict
+    )
 
 
 def question_sides(
@@ -193,14 +205,50 @@ def question_sides(
     f1_samp: float | None = None,
     seed: int = 0,
 ) -> QuestionSides:
-    """Split PT into the question's sides once per ``explain()``, with one
-    Spark job for the exact and the sampled side sizes.
+    """:func:`collect_question` without join graphs: the side sizes only."""
+    return collect_question(None, pt, (), t1, t2, f1_samp, seed)
+
+
+def collect_question(
+    db: Database | None,
+    pt: ProvenanceTable,
+    graphs: Sequence[JoinGraph],
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+    f1_samp: float | None = None,
+    seed: int = 0,
+) -> QuestionSides:
+    """Split PT into the question's sides and collect the APT projection of
+    every join graph in ``graphs`` (over ``db``), with one Spark action.
+
+    The action is one Arrow collect of a union by name: a one-row branch
+    with the exact and the sampled side sizes, and one branch per graph,
+    each tagged with its index in ``__g``. A column missing from a branch
+    is NULL on that branch's rows, so the table is split per ``__g`` in
+    Arrow before any pandas conversion: a pandas frame of the union would
+    turn every such integer column into float64, ``__hash`` included.
 
     Raises ``ValueError`` when a side has no provenance. When the F-score
     sample misses a side entirely, every tuple counts instead."""
     sided = _with_side(pt.df, pt.group_cols, t1, t2)
     flag = _f1_flag(f1_samp, seed)
-    n1, n2, s1, s2 = _side_sizes(sided, flag)
+    sided_pt = replace(pt, df=sided.withColumn(F1_FLAG, flag))
+    apts = [materialize_apt(db, sided_pt, jg) for jg in graphs]
+    branches = [sided.agg(*_size_cols(flag))] + [
+        apt_projection(apt, apt.pattern_cols, seed) for apt in apts
+    ]
+    union = reduce(
+        lambda a, b: a.unionByName(b, allowMissingColumns=True),
+        (b.withColumn(GRAPH, F.lit(i - 1)) for i, b in enumerate(branches)),
+    )
+    table = union.toArrow()
+    tag = table.column(GRAPH)
+
+    def branch(i: int) -> pa.Table:
+        return table.filter(pc.equal(tag, i))
+
+    sizes = branch(-1)
+    n1, n2, s1, s2 = (sizes.column(c)[0].as_py() for c in SIZES)
     if n1 == 0:
         raise ValueError(f"question tuple t1={t1} has no provenance in PT(Q, D)")
     if n2 == 0:
@@ -210,16 +258,31 @@ def question_sides(
             else f"every provenance tuple belongs to t1={t1}: "
             "PT(Q, D) \\ PT(Q, D, t1) is empty"
         )
-    sampled = f1_samp is not None and f1_samp < 1.0 and s1 > 0 and s2 > 0
-    if sampled:
+    sampled = f1_samp is not None and f1_samp < 1.0
+    fallback = sampled and (s1 == 0 or s2 == 0)
+    if fallback:
+        sampled, flag = False, F.lit(True)
+        sided_pt = replace(sided_pt, df=sided.withColumn(F1_FLAG, flag))
+        apts = [replace(apt, df=apt.df.withColumn(F1_FLAG, flag)) for apt in apts]
+    elif sampled:
         n1, n2 = s1, s2
-    else:
-        flag = F.lit(True)
+    collected = {}
+    for i, (jg, apt) in enumerate(zip(graphs, apts)):
+        cols = [PT_ID, SIDE, F1_FLAG, *apt.pattern_cols, ROW_HASH]
+        # The options DataFrame.toPandas passes, so a frame equals the
+        # graph's own apt_projection(...).toPandas().
+        pdf = branch(i).select(cols).to_pandas(
+            date_as_object=True, coerce_temporal_nanoseconds=True
+        )
+        if fallback:
+            pdf[F1_FLAG] = True
+        collected[jg] = (apt, pdf)
     return QuestionSides(
-        pt=replace(pt, df=sided.withColumn(F1_FLAG, flag), n_rows=n1 + n2),
+        pt=replace(sided_pt, n_rows=n1 + n2),
         n1=n1,
         n2=n2,
         f1_samp=f1_samp if sampled else None,
+        collected=collected,
     )
 
 

@@ -3,16 +3,16 @@
 Phases, each timed under the step names the paper's runtime-breakdown
 tables use (Fig. 7/7a/9c/9d):
 
-  Materialize APTs   — build the APT for Ω on the question's sided PT
-                       and collect its projection (``__pt_id``, side,
-                       F-score-sample flag, pattern columns, content hash)
-                       with one Arrow ``toPandas``: the graph's only Spark
-                       action.
+  Materialize APTs   — build the APT for Ω on the question's sided PT. Its
+                       projection (``__pt_id``, side, F-score-sample flag,
+                       pattern columns, content hash) comes from
+                       ``collect_sides``: one Arrow collect for the question
+                       and every join graph ``explain`` mines.
   Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
   Sampling for F1    — keep the collected rows of the deterministic PT-tuple
                        sample (driver only; the per-side sizes come from
-                       ``question_sides``, once per question).
+                       the same collect).
   F-score Calc.      — vectorised evaluation of pattern supports.
   Refine Patterns    — numeric-predicate refinement rounds (Prop. 3.1
                        recall pruning; refinement evaluation cost is billed
@@ -53,8 +53,8 @@ from repro.core.metrics import (
     Support,
     SupportEvaluator,
     apt_projection,
+    collect_question,
     compute_support,
-    question_sides,
 )
 from repro.core.pattern import Pattern
 from repro.core.refine import numeric_fragments, refinements
@@ -164,6 +164,25 @@ def _spark_mining_sample(proj: DataFrame, rate: float, cap: int) -> pd.DataFrame
     return sample if len(sample) >= 20 else first(proj)
 
 
+def collect_sides(
+    db: Database,
+    pt: ProvenanceTable,
+    jgs: list[JoinGraph],
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+    params: CajadeParams,
+) -> QuestionSides:
+    """:func:`collect_question` for ``params``, collecting the graphs of
+    ``jgs`` whose estimated APT size (isValid's) fits on the driver."""
+    on_driver = [
+        jg for jg in jgs
+        if estimate_apt_rows(jg, db, pt.n_rows) <= _MAX_DRIVER_ROWS
+    ]
+    return collect_question(
+        db, pt, on_driver, t1, t2, params.f1_samp, params.seed
+    )
+
+
 def mine_apt(
     db: Database,
     pt: ProvenanceTable,
@@ -173,23 +192,22 @@ def mine_apt(
     params: CajadeParams,
     sides: QuestionSides | None = None,
 ) -> MineResult:
-    """MineAPT for ``jg``. ``sides`` is :func:`question_sides` of ``pt``
-    under ``params``; ``explain`` computes it once for all join graphs."""
+    """MineAPT for ``jg``. ``sides`` is :func:`collect_sides` of ``pt``
+    over graphs including ``jg``; ``explain`` collects it once for all join
+    graphs. A graph whose projection ``sides`` lacks (too large for the
+    driver) is mined in Spark."""
     timer = StepTimer()
     if sides is None:
-        with timer.step("Sampling for F1"):
-            sides = question_sides(pt, t1, t2, params.f1_samp, params.seed)
-    # One collect of the APT's projection feeds every mining step; APTs
-    # whose estimated size (isValid's) would not fit stay in Spark.
-    on_driver = estimate_apt_rows(jg, db, pt.n_rows) <= _MAX_DRIVER_ROWS
-
-    with timer.step("Materialize APTs"):
-        apt = materialize_apt(db, sides.pt, jg)
-        proj_df = apt_projection(apt, apt.pattern_cols, params.seed)
-        if on_driver:
-            proj = proj_df.toPandas()
-            apt_rows = len(proj)
-        else:
+        with timer.step("Materialize APTs"):
+            sides = collect_sides(db, pt, [jg], t1, t2, params)
+    on_driver = jg in sides.collected
+    if on_driver:
+        apt, proj = sides.collected[jg]
+        apt_rows = len(proj)
+    else:
+        with timer.step("Materialize APTs"):
+            apt = materialize_apt(db, sides.pt, jg)
+            proj_df = apt_projection(apt, apt.pattern_cols, params.seed)
             apt_rows = apt.df.count()
     if apt_rows == 0:
         return MineResult([], timer, apt_rows=0)

@@ -17,10 +17,9 @@ from pyspark.sql import SparkSession
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable
-from repro.core.apt import materialize_apt
 from repro.core.config import CajadeParams
 from repro.core.join_graph import JoinGraph
-from repro.core.metrics import SupportEvaluator, apt_projection, question_sides
+from repro.core.metrics import SupportEvaluator, collect_question
 from repro.core.schema_graph import SchemaGraph
 from repro.workload import (
     MIMIC_QUESTIONS,
@@ -63,9 +62,8 @@ def driver_evaluator(
 ) -> SupportEvaluator:
     """Exact supports for ``uq`` over APT(Ω), evaluated on the driver after
     one collect of the APT's projection (as ``mine_apt`` does)."""
-    sides = question_sides(pt, uq.t1, uq.t2)
-    apt = materialize_apt(db, sides.pt, jg)
-    pdf = apt_projection(apt, apt.pattern_cols).toPandas()
+    sides = collect_question(db, pt, [jg], uq.t1, uq.t2)
+    _, pdf = sides.collected[jg]
     return SupportEvaluator(pdf, sides.n1, sides.n2)
 
 

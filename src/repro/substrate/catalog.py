@@ -36,12 +36,15 @@ class Database:
     tables: dict[str, Table] = field(default_factory=dict)
     _n_rows: dict[str, int] = field(default_factory=dict)
     _n_distinct: dict[tuple[str, tuple[str, ...]], int] = field(default_factory=dict)
+    # AggQuery → its cached ProvenanceTable (``provenance.compute_pt``).
+    pts: dict = field(default_factory=dict, repr=False)
 
     def add(self, name: str, df: DataFrame, pk: tuple[str, ...]) -> None:
         missing = [a for a in pk if a not in df.columns]
         if missing:
             raise ValueError(f"PK attrs {missing} not in {name} columns {df.columns}")
         self.tables[name] = Table(name, df, pk)
+        self.pts.clear()
 
     def df(self, name: str) -> DataFrame:
         return self.tables[name].df
@@ -81,11 +84,6 @@ class Database:
                 self.df(name).select(*key[1]).distinct().count()
             )
         return max(1, self._n_distinct[key])
-
-    def fanout(self, name: str, attrs: tuple[str, ...]) -> float:
-        """Expected number of rows of ``name`` matching one value of the
-        join-key combination ``attrs`` — rows / distinct keys."""
-        return self.n_rows(name) / self.n_distinct(name, attrs)
 
     def to_pandas(self) -> dict[str, "object"]:
         """All tables as pandas frames (for the DuckDB oracle)."""

@@ -20,8 +20,9 @@ Conventions (matching the paper's appendix output):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.substrate.catalog import Database
@@ -46,17 +47,6 @@ class ProvenanceTable:
     group_prov_cols: tuple[str, ...]  # prov_* twins of group-by attrs
     n_rows: int
 
-    def for_answer(self, t: dict[str, object]) -> DataFrame:
-        """``PT(Q, D, t)`` — rows contributing to answer tuple ``t``."""
-        cond = None
-        for k, v in t.items():
-            c = F.col(k) == F.lit(v)
-            cond = c if cond is None else (cond & c)
-        return self.df.filter(cond) if cond is not None else self.df
-
-    def size_for_answer(self, t: dict[str, object]) -> int:
-        return self.for_answer(t).count()
-
 
 def _prov_prefixes(query: AggQuery) -> dict[str, str]:
     """alias → name used in the prov_ prefix (relation name when unique,
@@ -71,41 +61,45 @@ def _prov_prefixes(query: AggQuery) -> dict[str, str]:
 
 
 def compute_pt(db: Database, query: AggQuery) -> ProvenanceTable:
-    """Materialise ``PT(Q, D)`` (Def. 1) and freeze its tuple identifiers."""
-    db.create_views()
+    """Materialise ``PT(Q, D)`` (Def. 1) and freeze its tuple identifiers.
+
+    PT is built from ``db``'s DataFrames, not from temp views: replacing a
+    view (``AggQuery.result`` on another Database with the same table
+    names) would drop the cache of every plan that reads it. The result is
+    memoised on ``db`` per query while its cache is held in memory, so a
+    repeated call runs no Spark action."""
+    memo = db.pts.get(query)
+    if memo is not None and memo.df.storageLevel.useMemory:
+        return memo
     prefixes = _prov_prefixes(query)
-    select_items: list[str] = []
+    select_items: list[Column] = []
     prov_cols: list[str] = []
     for rel, alias in query.tables:
         for attr in db.attrs(rel):
             out = prov_col(prefixes[alias], attr)
-            select_items.append(f"{alias}.{attr} AS {out}")
+            select_items.append(F.col(f"{alias}.{attr}").alias(out))
             prov_cols.append(out)
     # prov_* twins of group-by attributes exactly determine the answer
     # tuples, so patterns must not use them (§2.4 forbids group-by attrs).
     group_prov: list[str] = []
     for ref, out in query.group_by:
-        select_items.append(f"{ref} AS {out}")
+        select_items.append(F.expr(ref).alias(out))
         alias, _, attr = ref.partition(".")
         group_prov.append(prov_col(prefixes[alias], attr))
-    sql = (
-        f"SELECT {', '.join(select_items)} "
-        f"FROM {query.from_sql()} WHERE {query.where_sql()}"
-    )
-    df = db.spark.sql(sql)
+    frames = [db.df(rel).alias(alias) for rel, alias in query.tables]
+    df = reduce(DataFrame.join, frames)
+    df = df.filter(F.expr(query.where_sql())).select(*select_items)
     # Content-deterministic tuple id: row_number over a total order of all
     # columns. Unlike monotonically_increasing_id, it is stable when the
     # plan is re-executed (cache eviction, AQE re-partitioning), which the
     # coverage metrics rely on — the APT's __pt_id values must agree with
     # PT's under any recomputation. The single-partition window is fine at
     # PT scale (provenance of one query, ≤ a few 100k rows).
-    from pyspark.sql import Window
-
     w = Window.orderBy(*[F.col(c) for c in df.columns])
     df = df.withColumn(PT_ID, F.row_number().over(w))
     df = df.cache()
     n = df.count()
-    return ProvenanceTable(
+    pt = ProvenanceTable(
         query=query,
         df=df,
         group_cols=query.group_output_names,
@@ -113,3 +107,5 @@ def compute_pt(db: Database, query: AggQuery) -> ProvenanceTable:
         group_prov_cols=tuple(group_prov),
         n_rows=n,
     )
+    db.pts[query] = pt
+    return pt

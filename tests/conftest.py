@@ -129,8 +129,8 @@ def toy_pt(toy_db, toy_query):
 
 @pytest.fixture
 def action_counter(spark, monkeypatch):
-    """Counts the DataFrame actions (count/collect/toPandas) that run; an
-    action another one calls internally is not counted again."""
+    """Counts the DataFrame actions (count/collect/toPandas/toArrow) that
+    run; an action another one calls internally is not counted again."""
     cls = type(spark.range(1))
     state = {"n": 0, "depth": 0}
 
@@ -145,6 +145,6 @@ def action_counter(spark, monkeypatch):
 
         return wrapped
 
-    for name in ("count", "collect", "toPandas"):
+    for name in ("count", "collect", "toPandas", "toArrow"):
         monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     return state

@@ -107,34 +107,6 @@ def test_question_tuple_without_provenance_raises(
     assert missing in str(err.value)
 
 
-def test_one_action_per_mined_graph(
-    toy_db, toy_sg, toy_query, action_counter, monkeypatch
-):
-    """A warm call runs one action for PT, one for the question's sides and
-    one per mined join graph."""
-    import repro.core.explain as explain_mod
-
-    params = CajadeParams(n_edges=1, k=5, f1_samp=0.5, pat_samp=1.0)
-    args = (toy_db, toy_sg, toy_query, {"season": "2015-16"},
-            {"season": "2012-13"}, params)
-    explain(*args)  # warm: catalog statistics are cached
-    per_graph = []
-    mine = explain_mod.mine_apt
-
-    def counted_mine(*a, **k):
-        before = action_counter["n"]
-        out = mine(*a, **k)
-        per_graph.append(action_counter["n"] - before)
-        return out
-
-    monkeypatch.setattr(explain_mod, "mine_apt", counted_mine)
-    before = action_counter["n"]
-    res = explain(*args)
-    assert res.n_mined >= 1
-    assert per_graph == [1] * res.n_mined
-    assert action_counter["n"] - before == res.n_mined + 2
-
-
 # -- the mining dataflow on MIMIC Q4 (two mined join graphs) ---------------
 
 # The small cap makes the mining sample's row order choose its rows.
@@ -178,6 +150,15 @@ def test_topk_independent_of_shuffle_partitions(spark, mimic_db, mimic_result):
             assert got == want, f"{key}={n}"
     finally:
         spark.conf.set(key, saved)
+
+
+def test_warm_explain_makes_one_action(mimic_db, mimic_result, action_counter):
+    """With PT and the catalog statistics cached, the question's side sizes
+    and every mined graph's APT projection come from one action."""
+    before = action_counter["n"]
+    res = _mimic_explain(mimic_db)
+    assert res.n_mined >= 2
+    assert action_counter["n"] - before == 1
 
 
 def test_distributed_fallback_matches_driver_path(

@@ -230,3 +230,71 @@ def test_question_sides_restrict_pt_to_the_two_sides(toy_pt):
     assert {(r["season"], r["__side"]) for r in rows} == {
         ("2015-16", 1), ("2012-13", 2)
     }
+
+
+@pytest.fixture(scope="module")
+def split_db(spark):
+    """PT over ``sg`` plus two context relations: ``sc`` has an int column
+    with NULLs on joined rows, ``sd`` an int column ``sc`` lacks."""
+    from repro.substrate.catalog import Database
+    from repro.substrate.provenance import compute_pt
+    from repro.substrate.query import AggQuery
+
+    db = Database(spark)
+    db.add(
+        "sg",
+        spark.createDataFrame(
+            [(i, "A" if i % 3 else "B", 10 * i) for i in range(1, 13)],
+            "id int, season string, pts int",
+        ),
+        ("id",),
+    )
+    db.add(
+        "sc",
+        spark.createDataFrame(
+            [(i, None if i % 4 == 0 else i * 7) for i in range(1, 13)],
+            "id int, bonus int",
+        ),
+        ("id",),
+    )
+    db.add(
+        "sd",
+        spark.createDataFrame(
+            [(i, i % 5) for i in range(1, 13)], "id int, rank int"
+        ),
+        ("id",),
+    )
+    db.cache_all()
+    query = AggQuery(tables=(("sg", "g"),), group_by=(("g.season", "season"),))
+    return db, compute_pt(db, query)
+
+
+@pytest.mark.parametrize("f1_samp", [None, 0.5])
+def test_collected_frames_equal_each_graph_own_collect(split_db, f1_samp):
+    import pandas as pd
+
+    from repro.core.join_graph import empty_join_graph
+    from repro.core.metrics import ROW_HASH, collect_question
+
+    db, pt = split_db
+    graphs = [
+        JoinGraph(
+            nodes=((PT_NODE, None), (1, rel)),
+            edges=(JGEdge(PT_NODE, 1, fk_cond(("id", "id")), "sg", rel),),
+        )
+        for rel in ("sc", "sd")
+    ] + [empty_join_graph()]
+    t1, t2 = {"season": "A"}, {"season": "B"}
+    sides = collect_question(db, pt, graphs, t1, t2, f1_samp, seed=5)
+    assert sides.collected[graphs[0]][1]["sc_bonus"].isna().any()
+    assert "sc_bonus" not in sides.collected[graphs[1]][1]
+    for jg in graphs:
+        apt = materialize_apt(db, sides.pt, jg)
+        want = apt_projection(apt, apt.pattern_cols, seed=5).toPandas()
+        got = sides.collected[jg][1]
+        assert got[ROW_HASH].dtype == "int64"
+
+        def ordered(pdf):
+            return pdf.sort_values([ROW_HASH, PT_ID]).reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(ordered(got), ordered(want))

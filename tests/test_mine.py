@@ -110,15 +110,17 @@ def test_step_timer_merge():
     assert a.total == 6.0
 
 
-def test_one_action_per_mined_graph(toy_db, toy_pt, params, action_counter):
+def test_mine_apt_alone_makes_one_action(
+    toy_db, toy_pt, params, action_counter
+):
+    """Called without pre-collected sides, mine_apt gets the side sizes and
+    its graph's APT projection in one action."""
     from repro.core.join_graph import estimate_apt_rows
-    from repro.core.metrics import question_sides
 
-    sides = question_sides(toy_pt, T1, T2, params.f1_samp, params.seed)
     for jg in (OMEGA1, empty_join_graph()):
         estimate_apt_rows(jg, toy_db, toy_pt.n_rows)  # catalog stats, cached
         before = action_counter["n"]
-        res = mine_apt(toy_db, toy_pt, jg, T1, T2, params, sides)
+        res = mine_apt(toy_db, toy_pt, jg, T1, T2, params)
         assert res.explanations
         assert action_counter["n"] - before == 1, jg.structure()
 

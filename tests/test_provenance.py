@@ -34,12 +34,6 @@ def test_pt_ids_stable_across_actions(toy_pt):
     assert a == b
 
 
-def test_for_answer_sizes(toy_pt):
-    # Example 2: PT(Q1, D, t1) for 2012-13 = {g2}; 2015-16 = 3 wins.
-    assert toy_pt.size_for_answer({"season": "2012-13"}) == 1
-    assert toy_pt.size_for_answer({"season": "2015-16"}) == 3
-
-
 def test_pt_contents_match_duckdb(toy_pt, toy_frames):
     game, _ = toy_frames
     got = sorted(
@@ -83,3 +77,84 @@ def test_nba_pt_matches_duckdb(nba_db, nba_pandas):
     ).fetchone()[0]
     con.close()
     assert pt.n_rows == expected
+
+
+def _view_based_pt_rows(db, query):
+    """PT rows as the view-based build produced them: the query's FROM/WHERE
+    block run as SQL text over temp views, ids from the same window."""
+    from pyspark.sql import Window
+    from pyspark.sql import functions as F
+
+    from repro.substrate.provenance import _prov_prefixes
+
+    db.create_views()
+    prefixes = _prov_prefixes(query)
+    items = [
+        f"{alias}.{attr} AS {prov_col(prefixes[alias], attr)}"
+        for rel, alias in query.tables
+        for attr in db.attrs(rel)
+    ] + [f"{ref} AS {out}" for ref, out in query.group_by]
+    df = db.spark.sql(
+        f"SELECT {', '.join(items)} FROM {query.from_sql()} "
+        f"WHERE {query.where_sql()}"
+    )
+    w = Window.orderBy(*[F.col(c) for c in df.columns])
+    return sorted(df.withColumn(PT_ID, F.row_number().over(w)).collect())
+
+
+def test_pt_ids_match_view_based_build(toy_db, toy_pt, toy_query, nba_db):
+    from repro.workload import Q_NBA4
+
+    assert sorted(toy_pt.df.collect()) == _view_based_pt_rows(toy_db, toy_query)
+    nba_pt = compute_pt(nba_db, Q_NBA4)
+    assert sorted(nba_pt.df.collect()) == _view_based_pt_rows(nba_db, Q_NBA4)
+
+
+def test_repeated_compute_pt_runs_no_action(toy_db, toy_query, action_counter):
+    pt = compute_pt(toy_db, toy_query)
+    ids = sorted(pt.df.select(PT_ID).collect())
+    before = action_counter["n"]
+    again = compute_pt(toy_db, toy_query)
+    assert action_counter["n"] == before
+    assert sorted(again.df.select(PT_ID).collect()) == ids
+
+
+def test_pt_survives_another_database_with_the_same_table_names(
+    spark, toy_db, toy_frames, toy_sg, toy_query, toy_pt, action_counter
+):
+    """Another Database registering its own ``game`` view (AggQuery.result
+    and explain on it) must not drop this Database's cached PT."""
+    from repro.core.config import CajadeParams
+    from repro.core.explain import explain
+    from repro.substrate.catalog import Database
+
+    ids = sorted(toy_pt.df.collect())
+    game, pgs = toy_frames
+    other = Database(spark)
+    other.add("game", spark.createDataFrame(game.head(3)), toy_db.pk("game"))
+    other.add(
+        "player_game_scoring", spark.createDataFrame(pgs),
+        toy_db.pk("player_game_scoring"),
+    )
+    toy_query.result(other).collect()
+    explain(
+        other, toy_sg, toy_query, {"season": "2012-13"}, None,
+        CajadeParams(n_edges=1, f1_samp=1.0, pat_samp=1.0),
+    )
+    assert toy_pt.df.storageLevel.useMemory
+    before = action_counter["n"]
+    assert compute_pt(toy_db, toy_query) is toy_pt
+    assert action_counter["n"] == before
+    assert sorted(toy_pt.df.collect()) == ids
+
+
+def test_adding_a_table_drops_the_memo(spark, toy_db, toy_query):
+    from repro.substrate.catalog import Database
+
+    db = Database(spark)
+    for name in toy_db.names():
+        db.add(name, toy_db.df(name), toy_db.pk(name))
+    pt = compute_pt(db, toy_query)
+    assert compute_pt(db, toy_query) is pt
+    db.add("game", toy_db.df("game").filter("year > 2012"), toy_db.pk("game"))
+    assert compute_pt(db, toy_query).n_rows == 3
