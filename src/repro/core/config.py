@@ -23,6 +23,8 @@ class CajadeParams:
                                      thresholds (§3.4).
     ``q_cost``         λ_qCost     — join graphs whose estimated APT row count
                                      exceeds this are skipped by isValid (§4).
+                                     It also bounds the APT rows each mined
+                                     graph collects to the driver.
     ``k``                          — patterns returned per join graph.
     ``k_cat``                      — categorical patterns kept for refinement.
     ``feature_selection``          — turn §3.1 off for the "Naive" baseline.

@@ -22,13 +22,8 @@ from repro.core.join_graph import (
     enumerate_join_graphs,
     is_valid,
 )
-from repro.core.mine import (
-    Explanation,
-    MineResult,
-    StepTimer,
-    collect_sides,
-    mine_apt,
-)
+from repro.core.metrics import collect_question
+from repro.core.mine import Explanation, MineResult, StepTimer, mine_apt
 from repro.core.schema_graph import SchemaGraph
 
 
@@ -71,7 +66,9 @@ def explain(
             if is_valid(jg, db, pt.n_rows, params.q_cost)
         ]
     with timer.step("Materialize APTs"):
-        sides = collect_sides(db, pt, [jg for _, jg in valid], t1, t2, params)
+        sides = collect_question(
+            db, pt, [jg for _, jg in valid], t1, t2, params.f1_samp, params.seed
+        )
 
     mined: dict[int, MineResult] = {}
     all_expl: list[Explanation] = []

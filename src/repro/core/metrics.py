@@ -16,10 +16,13 @@ each PT row with its side and F-score-sample flag and drops the rows on
 neither side. One Arrow collect then returns the side sizes and the
 projection (``apt_projection``) of every APT built on that sided PT; the
 projections are scored on the driver by ``SupportEvaluator``.
-``compute_support`` is the distributed path for APTs too large to collect.
+``compute_support`` scores patterns with batched Spark aggregations,
+without collecting the APT. The tests and the benchmark's output check use
+it as the reference for reported supports, and the user-study table
+(``experiments/cases.py``) scores its fixed explanations with it.
 
 ``brute_force_support`` is a pandas reference implementation used by tests
-to validate the distributed path.
+to validate both scorers.
 """
 from __future__ import annotations
 
@@ -352,8 +355,8 @@ class SupportEvaluator:
     sizes (:class:`QuestionSides`). This mirrors the paper's design —
     λ_F1-samp exists precisely to make F-score calculation operate on a
     bounded sample — while the data-heavy steps (PT, APT joins) stay in
-    Spark. APTs too large for the driver are scored by
-    :func:`compute_support` (the fully distributed path) instead.
+    Spark. MineAPT scores every pattern with it; isValid's λ_qCost bounds
+    the size of every APT it is built from.
     """
 
     def __init__(self, pdf: pd.DataFrame, n1: int, n2: int) -> None:

@@ -6,24 +6,23 @@ tables use (Fig. 7/7a/9c/9d):
   Materialize APTs   — build the APT for Ω on the question's sided PT. Its
                        projection (``__pt_id``, side, F-score-sample flag,
                        pattern columns, content hash) comes from
-                       ``collect_sides``: one Arrow collect for the question
-                       and every join graph ``explain`` mines.
+                       ``collect_question``: one Arrow collect for the
+                       question and every join graph ``explain`` mines.
   Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
   Sampling for F1    — keep the collected rows of the deterministic PT-tuple
-                       sample (driver only; the per-side sizes come from
-                       the same collect).
+                       sample (the per-side sizes come from the same
+                       collect).
   F-score Calc.      — vectorised evaluation of pattern supports.
   Refine Patterns    — numeric-predicate refinement rounds (Prop. 3.1
                        recall pruning; refinement evaluation cost is billed
                        here).
 
-The mining sample is the rows whose content hash falls in a λ_pat-samp
-share, in hash order, capped at ``pat_samp_cap``: a function of the APT's
-content, not of its partitioning. A join graph whose estimated APT size
-(isValid's estimate) exceeds ``_MAX_DRIVER_ROWS`` is not collected: the
-same sample is drawn in Spark and supports are scored by the distributed
-``compute_support``.
+Every mined graph is scored on the driver. isValid's λ_qCost bounds the
+estimated APT size of every graph that reaches MineAPT, so that bound is
+also the bound on the rows a graph collects. The mining sample is the rows
+whose content hash falls in a λ_pat-samp share, in hash order, capped at
+``pat_samp_cap``: a function of the APT's content, not of its partitioning.
 
 Returns the diversity-ranked top-k explanations for both orientations of
 the user question plus the per-step timings and APT stats.
@@ -32,18 +31,15 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import PT_ID, ProvenanceTable
-from repro.core.apt import materialize_apt
 from repro.core.config import CajadeParams
 from repro.core.feature_selection import filter_attrs
-from repro.core.join_graph import JoinGraph, estimate_apt_rows
+from repro.core.join_graph import JoinGraph
 from repro.core.lca import lca_candidates
 from repro.core.metrics import (
     F1_FLAG,
@@ -52,13 +48,16 @@ from repro.core.metrics import (
     QuestionSides,
     Support,
     SupportEvaluator,
-    apt_projection,
     collect_question,
-    compute_support,
 )
 from repro.core.pattern import Pattern
 from repro.core.refine import numeric_fragments, refinements
 from repro.core.topk import diverse_topk
+
+# Unused here: kept so that perfbench/tracer.py, which wraps both names in
+# this module, still finds them.
+from repro.core.apt import materialize_apt  # noqa: F401
+from repro.core.metrics import compute_support  # noqa: F401
 
 STEP_NAMES = (
     "Feature Selection",
@@ -71,7 +70,6 @@ STEP_NAMES = (
 )
 
 _BEAM = 60  # refinements carried to the next round (tractability cap)
-_MAX_DRIVER_ROWS = 3_000_000  # above this, score via the distributed path
 
 
 class StepTimer:
@@ -152,37 +150,6 @@ def _mining_sample(proj: pd.DataFrame, rate: float, cap: int) -> pd.DataFrame:
     return sample.head(cap).reset_index(drop=True)
 
 
-def _spark_mining_sample(proj: DataFrame, rate: float, cap: int) -> pd.DataFrame:
-    """:func:`_mining_sample` computed in Spark, for APTs too large to
-    collect: the same rows in the same order."""
-
-    def first(df: DataFrame) -> pd.DataFrame:
-        return df.orderBy(ROW_HASH, PT_ID).limit(cap).toPandas()
-
-    threshold = F.pmod(F.col(ROW_HASH), F.lit(10000)) < _sample_threshold(rate)
-    sample = first(proj.filter(threshold))
-    return sample if len(sample) >= 20 else first(proj)
-
-
-def collect_sides(
-    db: Database,
-    pt: ProvenanceTable,
-    jgs: list[JoinGraph],
-    t1: dict[str, object],
-    t2: dict[str, object] | None,
-    params: CajadeParams,
-) -> QuestionSides:
-    """:func:`collect_question` for ``params``, collecting the graphs of
-    ``jgs`` whose estimated APT size (isValid's) fits on the driver."""
-    on_driver = [
-        jg for jg in jgs
-        if estimate_apt_rows(jg, db, pt.n_rows) <= _MAX_DRIVER_ROWS
-    ]
-    return collect_question(
-        db, pt, on_driver, t1, t2, params.f1_samp, params.seed
-    )
-
-
 def mine_apt(
     db: Database,
     pt: ProvenanceTable,
@@ -192,23 +159,17 @@ def mine_apt(
     params: CajadeParams,
     sides: QuestionSides | None = None,
 ) -> MineResult:
-    """MineAPT for ``jg``. ``sides`` is :func:`collect_sides` of ``pt``
+    """MineAPT for ``jg``. ``sides`` is :func:`collect_question` of ``pt``
     over graphs including ``jg``; ``explain`` collects it once for all join
-    graphs. A graph whose projection ``sides`` lacks (too large for the
-    driver) is mined in Spark."""
+    graphs."""
     timer = StepTimer()
     if sides is None:
         with timer.step("Materialize APTs"):
-            sides = collect_sides(db, pt, [jg], t1, t2, params)
-    on_driver = jg in sides.collected
-    if on_driver:
-        apt, proj = sides.collected[jg]
-        apt_rows = len(proj)
-    else:
-        with timer.step("Materialize APTs"):
-            apt = materialize_apt(db, sides.pt, jg)
-            proj_df = apt_projection(apt, apt.pattern_cols, params.seed)
-            apt_rows = apt.df.count()
+            sides = collect_question(
+                db, pt, [jg], t1, t2, params.f1_samp, params.seed
+            )
+    apt, proj = sides.collected[jg]
+    apt_rows = len(proj)
     if apt_rows == 0:
         return MineResult([], timer, apt_rows=0)
 
@@ -219,14 +180,7 @@ def mine_apt(
         "Feature Selection" if params.feature_selection else "Gen. Pat. Cand."
     )
     with timer.step(fs_step):
-        if on_driver:
-            sample_pdf = _mining_sample(
-                proj, params.pat_samp, params.pat_samp_cap
-            )
-        else:
-            sample_pdf = _spark_mining_sample(
-                proj_df, params.pat_samp, params.pat_samp_cap
-            )
+        sample_pdf = _mining_sample(proj, params.pat_samp, params.pat_samp_cap)
         label = (sample_pdf[SIDE] == 1).to_numpy(dtype=int)
         sample_pdf = sample_pdf.drop(columns=[SIDE, F1_FLAG, ROW_HASH])
         usable = list(apt.pattern_cols)
@@ -245,20 +199,11 @@ def mine_apt(
     with timer.step("Gen. Pat. Cand."):
         cands = lca_candidates(sample_pdf, fr.cat_attrs, max_patterns=200)
 
-    evaluator: SupportEvaluator | None = None
-    if on_driver:
-        with timer.step("Sampling for F1"):
-            evaluator = SupportEvaluator(proj, sides.n1, sides.n2)
-
-    def score(pats: list[Pattern]) -> list[Support]:
-        if evaluator is not None:
-            return evaluator.supports(pats)
-        return compute_support(
-            apt, pt, pats, t1, t2, sides.f1_samp, params.seed
-        )
+    with timer.step("Sampling for F1"):
+        evaluator = SupportEvaluator(proj, sides.n1, sides.n2)
 
     with timer.step("F-score Calc."):
-        supports = score(cands)
+        supports = evaluator.supports(cands)
     scored: dict[Pattern, Support] = dict(zip(cands, supports))
     keep = [
         p
@@ -290,7 +235,7 @@ def mine_apt(
                         todo.append(r)
             if not todo:
                 break
-            sups = score(todo)
+            sups = evaluator.supports(todo)
             for p, s in zip(todo, sups):
                 scored[p] = s
             # Prop. 3.1: refinements of low-recall patterns stay low-recall.

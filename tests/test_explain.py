@@ -161,21 +161,6 @@ def test_warm_explain_makes_one_action(mimic_db, mimic_result, action_counter):
     assert action_counter["n"] - before == 1
 
 
-def test_distributed_fallback_matches_driver_path(
-    mimic_db, mimic_result, monkeypatch
-):
-    import repro.core.mine as mine_mod
-
-    monkeypatch.setattr(mine_mod, "_MAX_DRIVER_ROWS", 0)
-    got = _mimic_explain(mimic_db)
-    assert _signature(got, MIMIC_PARAMS.k) == _signature(
-        mimic_result, MIMIC_PARAMS.k
-    )
-    assert [r.apt_rows for r in got.mined.values()] == [
-        r.apt_rows for r in mimic_result.mined.values()
-    ]
-
-
 @pytest.mark.parametrize("t2", ["Private", None])
 def test_reported_supports_match_fresh_apts(mimic_db, mimic_result, t2):
     from repro.core.apt import materialize_apt

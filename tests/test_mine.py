@@ -1,10 +1,20 @@
-"""MineAPT (Algorithm 1) end-to-end on the toy Example-1 database."""
+"""MineAPT (Algorithm 1) on the toy Example-1 database, and its mining sample."""
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.config import CajadeParams
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph, empty_join_graph
-from repro.core.mine import Explanation, StepTimer, mine_apt
+from repro.core.metrics import F1_FLAG, ROW_HASH, SIDE
+from repro.core.mine import (
+    Explanation,
+    StepTimer,
+    _mining_sample,
+    _sample_threshold,
+    mine_apt,
+)
 from repro.core.schema_graph import fk_cond
+from repro.substrate.provenance import PT_ID
 
 T1 = {"season": "2015-16"}
 T2 = {"season": "2012-13"}
@@ -138,3 +148,42 @@ def test_mining_the_pt_graph_keeps_the_pt_cached(
     assert pt.df.storageLevel.useMemory
     res = explain(toy_db, toy_sg, toy_query, T1, T2, params)
     assert res.pt.df.storageLevel.useMemory
+
+
+def _projection(n: int) -> pd.DataFrame:
+    """A collected APT projection: two APT rows per PT tuple, int64 content
+    hashes beyond float64's exact range, and five exact duplicate rows."""
+    rng = np.random.default_rng(7)
+    pdf = pd.DataFrame(
+        {
+            PT_ID: np.arange(n) // 2,
+            SIDE: 1 + (np.arange(n) // 2) % 2,
+            F1_FLAG: True,
+            "x": rng.integers(0, 5, n),
+            ROW_HASH: rng.integers(-(2**62), 2**62, n, dtype=np.int64),
+        }
+    )
+    return pd.concat([pdf, pdf.iloc[:5]], ignore_index=True)
+
+
+def _keys(pdf: pd.DataFrame) -> list[tuple[int, int]]:
+    return list(zip(pdf[ROW_HASH].tolist(), pdf[PT_ID].tolist()))
+
+
+@pytest.mark.parametrize(
+    "rate, cap, from_rate_share",
+    [(0.5, 1000, True), (0.5, 30, True), (0.01, 50, False)],
+)
+def test_mining_sample_depends_only_on_content(rate, cap, from_rate_share):
+    proj = _projection(400)
+    selected = proj[proj[ROW_HASH] % 10000 < _sample_threshold(rate)]
+    # Below 20 rate-selected rows the sample is the first rows of the APT.
+    assert (len(selected) >= 20) == from_rate_share
+    pool = selected if from_rate_share else proj
+    got = _mining_sample(proj, rate, cap)
+    assert got[ROW_HASH].dtype == np.int64
+    assert len(got) == min(cap, len(pool))
+    assert _keys(got) == sorted(_keys(pool))[:cap]
+    for seed in (1, 2):
+        shuffled = proj.sample(frac=1.0, random_state=seed)
+        pd.testing.assert_frame_equal(_mining_sample(shuffled, rate, cap), got)
