@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from pyspark.sql import Column, DataFrame
@@ -30,6 +30,7 @@ from pyspark.sql import functions as F
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable, prov_col
+from repro.substrate.query import split_ref
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 
 
@@ -44,7 +45,7 @@ class APT:
     context_cols: tuple[str, ...]   # surviving context attribute columns
     group_prov_cols: tuple[str, ...] = ()  # prov_* twins of group-by attrs
     group_attr_names: tuple[str, ...] = ()  # base attr names used in grouping
-    col_attr: dict[str, str] = None  # context col → base attribute name
+    col_attr: dict[str, str] = field(default_factory=dict)  # context col → base attr
 
     @property
     def pattern_cols(self) -> tuple[str, ...]:
@@ -53,12 +54,9 @@ class APT:
         ``season_name`` would trivially determine the answer tuples) — plus
         their prov_* twins and ``__pt_id``."""
         banned = set(self.group_cols) | set(self.group_prov_cols)
-        ctx = {}
-        if self.col_attr:
-            ctx = self.col_attr
         banned |= {
             c
-            for c, attr in ctx.items()
+            for c, attr in self.col_attr.items()
             if attr in set(self.group_attr_names)
         }
         return tuple(
@@ -164,7 +162,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
         context_cols=tuple(keep_context),
         group_prov_cols=pt.group_prov_cols,
         group_attr_names=tuple(
-            ref.partition(".")[2] for ref, _ in pt.query.group_by
+            split_ref(ref)[1] for ref, _ in pt.query.group_by
         ),
         col_attr=col_attr,
     )

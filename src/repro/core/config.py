@@ -8,7 +8,6 @@ from dataclasses import dataclass
 class CajadeParams:
     """Knobs of the mining pipeline. Names follow Table 1 of the paper.
 
-    ``db_size``        λ_db-size   — dataset scale factor (generator input).
     ``n_edges``        λ_#edges    — max edges per join graph (§4).
     ``n_sel_attr``     λ_#sel-attr — attributes kept per type (numeric /
                                      categorical) by feature selection (§3.1).
@@ -31,7 +30,6 @@ class CajadeParams:
     ``seed``                       — all sampling/ML randomness.
     """
 
-    db_size: float = 1.0
     n_edges: int = 3
     n_sel_attr: int = 3
     attr_num: int = 3

@@ -21,7 +21,7 @@ counts, which serves the same pruning role (DESIGN.md substitution #3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.substrate.catalog import Database
 from repro.substrate.query import AggQuery
@@ -113,7 +113,6 @@ class JoinGraph:
 
     def structure(self) -> str:
         """Compact ``PT - rel - rel`` chain description (as in Fig. 10a)."""
-        labels = self.node_labels
         if not self.edges:
             return "PT"
         names = ["PT"] + [r for n, r in sorted(self.nodes) if r is not None]

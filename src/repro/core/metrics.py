@@ -17,9 +17,9 @@ neither side. One Arrow collect then returns the side sizes and the
 projection (``apt_projection``) of every APT built on that sided PT; the
 projections are scored on the driver by ``SupportEvaluator``.
 ``compute_support`` scores patterns with batched Spark aggregations,
-without collecting the APT. The tests and the benchmark's output check use
-it as the reference for reported supports, and the user-study table
-(``experiments/cases.py``) scores its fixed explanations with it.
+without collecting the APT. No pipeline or experiment calls it: it is the
+reference for reported supports that the tests, the benchmark's output
+check and its tracer use.
 
 ``brute_force_support`` is a pandas reference implementation used by tests
 to validate both scorers.

@@ -7,32 +7,28 @@ explanation tables; results are memoised per session.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.baselines.ranking import kendall_tau_distance, ndcg
-from repro.core.explain import ExplainResult, dedupe_explanations, explain
-from repro.core.metrics import compute_support
+from repro.core.explain import ExplainResult, dedupe_explanations
 from repro.core.pattern import Pattern, Predicate
-from repro.experiments.common import bench_params, get_dataset
+from repro.experiments.common import (
+    BENCH_SF,
+    bench_params,
+    driver_evaluator,
+    get_dataset,
+    run_explain,
+)
 from repro.substrate.provenance import compute_pt
 from repro.workload import MIMIC_QUESTIONS, NBA_QUESTIONS, UQ_1
 
-_RESULTS: dict[str, tuple[ExplainResult, float]] = {}
 
-
-def _run_question(spark: SparkSession, name: str) -> tuple[ExplainResult, float]:
-    if name not in _RESULTS:
-        questions = {**NBA_QUESTIONS, **MIMIC_QUESTIONS}
-        uq = questions[name]
-        dataset = "nba" if name.startswith("Q_nba") else "mimic"
-        db, sg = get_dataset(spark, dataset)
-        t0 = time.perf_counter()
-        res = explain(db, sg, uq.query, uq.t1, uq.t2, bench_params(f1_samp=0.3))
-        _RESULTS[name] = (res, time.perf_counter() - t0)
-    return _RESULTS[name]
+def _run_query(spark: SparkSession, name: str) -> tuple[ExplainResult, float]:
+    """Explain workload question ``name`` at λ_F1-samp = 0.3."""
+    dataset = "nba" if name.startswith("Q_nba") else "mimic"
+    uq = {**NBA_QUESTIONS, **MIMIC_QUESTIONS}[name]
+    return run_explain(spark, dataset, BENCH_SF, bench_params(f1_samp=0.3), uq)
 
 
 def varying_queries_table(spark: SparkSession) -> tuple[list[dict], dict]:
@@ -40,7 +36,7 @@ def varying_queries_table(spark: SparkSession) -> tuple[list[dict], dict]:
     λ_F1-samp = 0.3."""
     rows = []
     for name in list(NBA_QUESTIONS) + list(MIMIC_QUESTIONS):
-        res, total = _run_question(spark, name)
+        res, total = _run_query(spark, name)
         rows.append(
             {
                 "query": name,
@@ -60,7 +56,7 @@ def case_study_table(
     questions = NBA_QUESTIONS if dataset == "nba" else MIMIC_QUESTIONS
     rows = []
     for name, uq in questions.items():
-        res, _ = _run_question(spark, name)
+        res, _ = _run_query(spark, name)
         for e in dedupe_explanations(res.explanations, top):
             rows.append(
                 {
@@ -115,18 +111,14 @@ def user_study_tables(spark: SparkSession, seed: int = 0) -> tuple[list[dict], d
     """Table 8's machine rows (F-score/recall/precision per fixed Table-7
     explanation) for UQ_1, plus Table 9's ranking-quality machinery
     computed against *simulated* ratings (DESIGN.md substitution #6)."""
-    from repro.core.apt import materialize_apt
+    from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph, empty_join_graph
+    from repro.core.schema_graph import fk_cond
     from repro.experiments.baselines_exp import _pgs_player_jg
 
     db, _sg = get_dataset(spark, "nba")
     pt = compute_pt(db, UQ_1.query)
     # Expl1–5 evaluate over the provenance itself; Expl6–10 over the
     # PT–player_game_stats–player and PT–team_game_stats APTs.
-    from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph, empty_join_graph
-    from repro.core.schema_graph import fk_cond
-
-    apt_prov = materialize_apt(db, pt, empty_join_graph())
-    apt_pgs = materialize_apt(db, pt, _pgs_player_jg())
     tgs_jg = JoinGraph(
         nodes=((PT_NODE, None), (1, "team_game_stats")),
         edges=(
@@ -137,17 +129,20 @@ def user_study_tables(spark: SparkSession, seed: int = 0) -> tuple[list[dict], d
                    "team", "team_game_stats"),
         ),
     )
-    apt_tgs = materialize_apt(db, pt, tgs_jg)
+    ev_prov, ev_pgs, ev_tgs = (
+        driver_evaluator(db, pt, jg, UQ_1)
+        for jg in (empty_join_graph(), _pgs_player_jg(), tgs_jg)
+    )
 
     rows = []
     fscores, recalls, precs = {}, {}, {}
     for name, _kind, pattern, primary in _user_study_explanations():
-        apt = apt_prov
+        ev = ev_prov
         if any(p.attr.startswith("player_") for p in pattern.preds):
-            apt = apt_pgs
+            ev = ev_pgs
         elif any(p.attr.startswith("team_game_stats") for p in pattern.preds):
-            apt = apt_tgs
-        (sup,) = compute_support(apt, pt, [pattern], UQ_1.t1, UQ_1.t2)
+            ev = ev_tgs
+        sup = ev.support(pattern)
         prec, rec, f1 = sup.metrics(primary)
         fscores[name], recalls[name], precs[name] = f1, rec, prec
         rows.append(

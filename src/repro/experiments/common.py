@@ -2,7 +2,7 @@
 
 Each experiment function returns ``(rows, meta)`` where ``rows`` is a list
 of dicts (one per printed table row). ``format_table`` renders the rows the
-way the paper's tables read; jobs print them, benchmarks print + assert.
+way the paper's tables read; the benchmarks print, assert and save them.
 
 Benchmark scale: the paper runs at λ_db-size=1.0 (~17 MB NBA) with
 λ_#edges=3 on PostgreSQL; on this container we default to sf=0.1 and
@@ -10,8 +10,9 @@ Benchmark scale: the paper runs at λ_db-size=1.0 (~17 MB NBA) with
 """
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass
+import time
 
 from pyspark.sql import SparkSession
 
@@ -21,13 +22,7 @@ from repro.core.config import CajadeParams
 from repro.core.join_graph import JoinGraph
 from repro.core.metrics import SupportEvaluator, collect_question
 from repro.core.schema_graph import SchemaGraph
-from repro.workload import (
-    MIMIC_QUESTIONS,
-    NBA_QUESTIONS,
-    UQ_1,
-    UQ_MIMIC4,
-    UserQuestion,
-)
+from repro.workload import UQ_1, UQ_MIMIC4, UserQuestion
 
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.1"))
 BENCH_EDGES = int(os.environ.get("REPRO_BENCH_EDGES", "2"))
@@ -73,10 +68,6 @@ def question_for(dataset: str) -> UserQuestion:
     return UQ_1 if dataset == "nba" else UQ_MIMIC4
 
 
-def all_questions() -> dict[str, UserQuestion]:
-    return {**NBA_QUESTIONS, **MIMIC_QUESTIONS}
-
-
 def bench_params(**over) -> CajadeParams:
     base = dict(n_edges=BENCH_EDGES, q_cost=BENCH_QCOST, k=5)
     base.update(over)
@@ -87,20 +78,21 @@ _EXPLAIN_CACHE: dict = {}
 
 
 def run_explain(
-    spark: SparkSession, dataset: str, sf: float, params: CajadeParams
+    spark: SparkSession,
+    dataset: str,
+    sf: float,
+    params: CajadeParams,
+    uq: UserQuestion,
 ):
     """Memoised end-to-end explain run: several experiments share
     configurations (e.g. the λ_F1-samp=1.0 ground truth), so identical
-    (dataset, sf, params) runs execute once per session."""
-    import dataclasses
-    import time
-
+    (dataset, sf, question, params) runs execute once per session."""
     from repro.core.explain import explain
 
-    key = (dataset, sf, dataclasses.astuple(params))
+    # repr: a UserQuestion holds dicts, so it is not hashable.
+    key = (dataset, sf, repr(uq), dataclasses.astuple(params))
     if key not in _EXPLAIN_CACHE:
         db, sg = get_dataset(spark, dataset, sf)
-        uq = question_for(dataset)
         t0 = time.perf_counter()
         res = explain(db, sg, uq.query, uq.t1, uq.t2, params)
         _EXPLAIN_CACHE[key] = (res, time.perf_counter() - t0)

@@ -7,13 +7,17 @@ from pyspark.sql import SparkSession
 from repro.core.mine import STEP_NAMES
 from repro.experiments.common import (
     BENCH_EDGES,
+    BENCH_SF,
     bench_params,
+    question_for,
     run_explain,
 )
 
 
 def _run(spark: SparkSession, dataset: str, sf: float, **params_over):
-    return run_explain(spark, dataset, sf, bench_params(**params_over))
+    return run_explain(
+        spark, dataset, sf, bench_params(**params_over), question_for(dataset)
+    )
 
 
 def feature_selection_table(
@@ -26,8 +30,6 @@ def feature_selection_table(
     """Fig 7a (NBA) / Fig 7 (MIMIC): per-step runtime with feature
     selection at several λ_F1-samp values, and without feature selection.
     """
-    from repro.experiments.common import BENCH_SF
-
     sf = sf or BENCH_SF
     configs: list[tuple[str, dict]] = [
         (f"fs {r}", dict(f1_samp=r, feature_selection=True)) for r in f1_rates
@@ -64,8 +66,6 @@ def jg_size_table(
     sf: float | None = None,
 ) -> tuple[list[dict], dict]:
     """Fig 8: total runtime varying λ_#edges and λ_F1-samp (table form)."""
-    from repro.experiments.common import BENCH_SF
-
     sf = sf or BENCH_SF
     rows = []
     for ne in edge_counts:

@@ -14,9 +14,12 @@ from repro.core.feature_selection import split_attr_types
 from repro.core.schema_graph import fk_cond
 from repro.baselines.ranking import ndcg_of_ranking, top_k_recall
 from repro.experiments.common import (
+    BENCH_SF,
     bench_params,
     driver_evaluator,
     get_dataset,
+    question_for,
+    run_explain,
 )
 from repro.substrate.provenance import compute_pt
 from repro.workload import Q_MIMIC4, Q_NBA1, UQ_MIMIC4, UQ_NBA1
@@ -129,13 +132,12 @@ def f1_sampling_table(
 ) -> tuple[list[dict], dict]:
     """Fig 10f–g: NDCG and top-10 recall of the pattern ranking under
     F-score sampling, against the no-sampling ranking as ground truth."""
-    from repro.experiments.common import BENCH_SF, run_explain
-
     rows = []
     for dataset, n_edges in configs:
+        uq = question_for(dataset)
         truth, _ = run_explain(
             spark, dataset, BENCH_SF,
-            bench_params(n_edges=n_edges, f1_samp=1.0, k=10),
+            bench_params(n_edges=n_edges, f1_samp=1.0, k=10), uq,
         )
         truth_list = [e.describe() for e in truth.explanations[:10]]
         relevance = {
@@ -144,7 +146,7 @@ def f1_sampling_table(
         for rate in rates:
             got, _ = run_explain(
                 spark, dataset, BENCH_SF,
-                bench_params(n_edges=n_edges, f1_samp=rate, k=10),
+                bench_params(n_edges=n_edges, f1_samp=rate, k=10), uq,
             )
             got_list = [e.describe() for e in got.explanations[:10]]
             rows.append(

@@ -26,7 +26,7 @@ from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.substrate.catalog import Database
-from repro.substrate.query import AggQuery
+from repro.substrate.query import AggQuery, split_ref
 
 PT_ID = "__pt_id"
 PROV_PREFIX = "prov_"
@@ -84,7 +84,7 @@ def compute_pt(db: Database, query: AggQuery) -> ProvenanceTable:
     group_prov: list[str] = []
     for ref, out in query.group_by:
         select_items.append(F.expr(ref).alias(out))
-        alias, _, attr = ref.partition(".")
+        alias, attr = split_ref(ref)
         group_prov.append(prov_col(prefixes[alias], attr))
     frames = [db.df(rel).alias(alias) for rel, alias in query.tables]
     df = reduce(DataFrame.join, frames)

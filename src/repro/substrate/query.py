@@ -10,7 +10,7 @@ Attribute references are written ``alias.attr`` throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 
@@ -49,6 +49,15 @@ class AggQuery:
         aliases = [a for _, a in self.tables]
         if len(set(aliases)) != len(aliases):
             raise ValueError(f"duplicate table aliases in {aliases}")
+        refs = [r for pair in self.join_conds for r in pair]
+        refs += [r for r, _ in self.filters] + [r for r, _ in self.group_by]
+        for ref in refs:
+            alias, _ = split_ref(ref)
+            if alias not in aliases:
+                raise ValueError(
+                    f"attribute reference {ref!r}: alias {alias!r} is not in "
+                    f"FROM (aliases {aliases})"
+                )
 
     # ---- helpers ------------------------------------------------------
     @property
@@ -91,11 +100,3 @@ class AggQuery:
         """Evaluate ``Q(D)`` through Catalyst."""
         db.create_views()
         return db.spark.sql(self.to_sql())
-
-    def group_filter_sql(self, t: dict[str, object]) -> str:
-        """WHERE fragment selecting the group of answer tuple ``t``
-        (keyed by group-by *output* names)."""
-        out_to_ref = {out: ref for ref, out in self.group_by}
-        return " AND ".join(
-            f"{out_to_ref[k]} = {self._literal(v)}" for k, v in t.items()
-        )

@@ -2,10 +2,6 @@
 from repro.core.config import CajadeParams
 
 
-def test_default_db_size():
-    assert CajadeParams().db_size == 1.0
-
-
 def test_default_n_edges():
     assert CajadeParams().n_edges == 3
 

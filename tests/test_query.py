@@ -19,6 +19,21 @@ def test_duplicate_aliases_rejected():
         AggQuery(tables=(("a", "x"), ("b", "x")))
 
 
+@pytest.mark.parametrize(
+    "refs, match",
+    [
+        (dict(group_by=(("season", "season"),)), "alias-qualified"),
+        (dict(group_by=(("x.season", "season"),)), "alias 'x' is not in FROM"),
+        (dict(filters=(("x.winner", "GSW"),)), "alias 'x' is not in FROM"),
+        (dict(join_conds=(("g.home", "x.home"),)), "alias 'x' is not in FROM"),
+    ],
+    ids=["unqualified", "group_by_alias", "filter_alias", "join_alias"],
+)
+def test_malformed_references_rejected(refs, match):
+    with pytest.raises(ValueError, match=match):
+        AggQuery(tables=(("game", "g"),), **refs)
+
+
 def test_relations_deduped():
     q = AggQuery(tables=(("game", "g1"), ("game", "g2")))
     assert q.relations == ("game",)
@@ -38,12 +53,6 @@ def test_literal_escaping(toy_db):
     )
     assert "O''Brien" in q.to_sql()
     assert q.result(toy_db).collect()[0]["c"] == 0
-
-
-def test_group_filter_sql(toy_query):
-    assert toy_query.group_filter_sql({"season": "2015-16"}) == (
-        "g.season = '2015-16'"
-    )
 
 
 def test_toy_query_result(toy_db, toy_query, toy_frames):
