@@ -183,14 +183,15 @@ def filter_attrs(
     """FILTERATTRS (Algorithm 1): cluster correlated attributes, score
     relevance with the random forest, keep the top ``n_sel_attr`` cluster
     representatives of each type. With ``enabled=False`` ("Naive" in §5.1)
-    every attribute survives."""
+    every attribute survives, in singleton clusters, and no forest is
+    trained: ``importance`` is empty."""
     num, cat = split_attr_types(sample_pdf, exclude)
     attrs = num + cat
+    if not enabled:
+        return FilterResult(num, cat, [[a] for a in attrs], {})
     X = encode_matrix(sample_pdf, attrs)
     imp = rf_importance(X, label, seed=seed)
     imp_map = {a: float(v) for a, v in zip(attrs, imp)}
-    if not enabled:
-        return FilterResult(num, cat, [[a] for a in attrs], imp_map)
     clusters = cluster_attributes(X, attrs, imp)
     reps = [cl[0] for cl in clusters]
     reps.sort(key=lambda a: -imp_map[a])

@@ -41,7 +41,7 @@ from repro.substrate.catalog import Database
 from repro.substrate.provenance import PT_ID, ProvenanceTable
 from repro.core.apt import APT, materialize_apt
 from repro.core.join_graph import JoinGraph
-from repro.core.pattern import Pattern
+from repro.core.pattern import Pattern, Predicate
 
 _BATCH = 200  # patterns per Spark job; keeps codegen size bounded
 SIDE = "__side"      # 1: provenance of t1, 2: of t2 (see side_col)
@@ -357,6 +357,12 @@ class SupportEvaluator:
     bounded sample — while the data-heavy steps (PT, APT joins) stay in
     Spark. MineAPT scores every pattern with it; isValid's λ_qCost bounds
     the size of every APT it is built from.
+
+    Each distinct predicate is compared against the frame once: its row
+    mask is cached, and a pattern's mask is the AND of its predicates'
+    masks. A PT tuple is covered when one of its rows matches, so a side's
+    coverage is the number of that side's ``__pt_id`` codes that occur
+    among the matching rows.
     """
 
     def __init__(self, pdf: pd.DataFrame, n1: int, n2: int) -> None:
@@ -365,22 +371,37 @@ class SupportEvaluator:
         codes, uniques = pd.factorize(pdf[PT_ID])
         self._codes = codes
         self._n_ptids = len(uniques)
-        self._side1 = (pdf[SIDE] == 1).to_numpy()
-        self._side2 = (pdf[SIDE] == 2).to_numpy()
+        # The side of each PT tuple (every row of a tuple has its side).
+        pt_side = np.zeros(self._n_ptids, dtype=np.int8)
+        pt_side[codes] = pdf[SIDE].to_numpy(dtype=np.int8)
+        self._pt_side1 = pt_side == 1
+        self._pt_side2 = pt_side == 2
+        self._masks: dict[Predicate, np.ndarray] = {}
 
     @property
     def n_rows(self) -> int:
         return len(self.pdf)
 
+    def _mask(self, pred: Predicate) -> np.ndarray:
+        mask = self._masks.get(pred)
+        if mask is None:
+            mask = self._masks[pred] = pred.pandas_mask(self.pdf)
+        return mask
+
     def support(self, pattern: Pattern) -> Support:
-        mask = pattern.pandas_mask(self.pdf)
-        cov = np.zeros(self._n_ptids, dtype=bool)
-        cov[self._codes[mask & self._side1]] = True
-        cov1 = int(cov.sum())
-        cov[:] = False
-        cov[self._codes[mask & self._side2]] = True
-        cov2 = int(cov.sum())
-        return Support(cov1=cov1, n1=self.n1, cov2=cov2, n2=self.n2)
+        codes = self._codes
+        if pattern.preds:
+            mask = self._mask(pattern.preds[0])
+            for pred in pattern.preds[1:]:
+                mask = mask & self._mask(pred)
+            codes = codes[mask]
+        hit = np.bincount(codes, minlength=self._n_ptids) > 0
+        return Support(
+            cov1=int(np.count_nonzero(hit & self._pt_side1)),
+            n1=self.n1,
+            cov2=int(np.count_nonzero(hit & self._pt_side2)),
+            n2=self.n2,
+        )
 
     def supports(self, patterns: list[Pattern]) -> list[Support]:
         return [self.support(p) for p in patterns]

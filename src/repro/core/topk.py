@@ -40,19 +40,28 @@ def diverse_topk(
     pattern_of: Callable[[T], Pattern],
     fscore_of: Callable[[T], float],
 ) -> list[T]:
-    """Greedy wscore selection over arbitrary carriers (explanations)."""
+    """Greedy wscore selection over arbitrary carriers (explanations).
+
+    Each remaining candidate keeps its min D(Φ, Φ') over the selected set,
+    updated against the newest pick only, so a round costs one D per
+    candidate. Ties go to the candidate with the higher F-score, then to
+    the earlier one in ``candidates``."""
     remaining = sorted(candidates, key=fscore_of, reverse=True)
     if not remaining:
         return []
     selected = [remaining.pop(0)]
+    pats = [pattern_of(c) for c in remaining]
+    fscores = [fscore_of(c) for c in remaining]
+    min_d = [float("inf")] * len(remaining)
     while remaining and len(selected) < k:
+        last = pattern_of(selected[-1])
         best_i, best_score = 0, float("-inf")
-        for i, cand in enumerate(remaining):
-            d = min(
-                diversity(pattern_of(cand), pattern_of(s)) for s in selected
-            )
-            score = fscore_of(cand) + d
+        for i, pat in enumerate(pats):
+            min_d[i] = min(min_d[i], diversity(pat, last))
+            score = fscores[i] + min_d[i]
             if score > best_score:
                 best_i, best_score = i, score
         selected.append(remaining.pop(best_i))
+        for xs in (pats, fscores, min_d):
+            del xs[best_i]
     return selected

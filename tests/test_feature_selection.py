@@ -116,7 +116,13 @@ def test_filter_attrs_selects_discriminative(pdf):
     assert fr.cat_attrs == ["team"]
 
 
-def test_filter_attrs_disabled_keeps_everything(pdf):
+def test_filter_attrs_disabled_keeps_everything(pdf, monkeypatch):
+    import repro.core.feature_selection as fs
+
+    def no_forest(*args, **kwargs):
+        raise AssertionError("filter_attrs(enabled=False) trained a forest")
+
+    monkeypatch.setattr(fs, "rf_importance", no_forest)
     frame, y = pdf
     fr = filter_attrs(frame, y, n_sel_attr=1, enabled=False)
     assert set(fr.num_attrs) == {"pts", "noise", "pts_copy"}

@@ -1,5 +1,7 @@
 """Quality metrics (Def. 7): Spark path vs pandas brute force, sampling."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.apt import materialize_apt
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
@@ -112,6 +114,27 @@ def test_evaluator_matches_spark(apt, toy_db, toy_pt):
     assert [(s.cov1, s.n1, s.cov2, s.n2) for s in got] == [
         (s.cov1, s.n1, s.cov2, s.n2) for s in want
     ]
+
+
+def test_evaluator_matches_spark_under_f1_sampling(apt, toy_db, toy_pt):
+    # At rate 0.5 and seed 2 the sample keeps 2 of side 1's 3 tuples and
+    # side 2's one tuple.
+    pats = [
+        CURRY23,
+        P(("player_game_scoring_pts", ">=", 14)),
+        P(("player_game_scoring_player", "=", "S. Curry")),
+        P(("player_game_scoring_player", "=", "K. Thompson")),
+        Pattern(),
+    ]
+    attrs = ["player_game_scoring_player", "player_game_scoring_pts"]
+    sides = question_sides(toy_pt, T1, T2, f1_samp=0.5, seed=2)
+    assert (sides.n1, sides.n2, sides.f1_samp) == (2, 1, 0.5)
+    sided = materialize_apt(toy_db, sides.pt, apt.jg)
+    ev = SupportEvaluator(
+        apt_projection(sided, attrs).toPandas(), sides.n1, sides.n2
+    )
+    want = compute_support(apt, toy_pt, pats, T1, T2, f1_samp=0.5, seed=2)
+    assert ev.supports(pats) == want
 
 
 def test_coverage_counts_pt_tuples_not_apt_rows(apt, toy_pt):
@@ -298,3 +321,112 @@ def test_collected_frames_equal_each_graph_own_collect(split_db, f1_samp):
             return pdf.sort_values([ROW_HASH, PT_ID]).reset_index(drop=True)
 
         pd.testing.assert_frame_equal(ordered(got), ordered(want))
+
+
+_GROUPS = ["A", "B", "C", None]
+
+
+@st.composite
+def _projections(draw):
+    """A random PT over one group column ``g`` and an APT on it: NULL
+    pattern values, duplicate rows, zero to three APT rows per ``__pt_id``,
+    and a per-tuple F-score-sample flag."""
+    import numpy as np
+    import pandas as pd
+
+    n_pt = draw(st.integers(1, 15))
+    groups = draw(st.lists(st.sampled_from(_GROUPS), min_size=n_pt, max_size=n_pt))
+    flags = draw(st.lists(st.booleans(), min_size=n_pt, max_size=n_pt))
+    pt_pdf = pd.DataFrame({PT_ID: np.arange(n_pt, dtype=np.int64), "g": groups})
+    rows = []
+    for i in range(n_pt):
+        for _ in range(draw(st.integers(0, 3))):
+            rows.append((
+                i,
+                groups[i],
+                draw(st.sampled_from(["x", "y", None])),
+                draw(st.sampled_from([1.0, 2.0, 3.0, float("nan")])),
+            ))
+    apt_pdf = pd.DataFrame(rows, columns=[PT_ID, "g", "c", "v"]).astype(
+        {PT_ID: "int64", "v": "float64"}
+    )
+    t1 = {"g": draw(st.sampled_from(_GROUPS))}
+    t2 = draw(st.one_of(st.none(), st.sampled_from(_GROUPS).map(lambda g: {"g": g})))
+    if t2 == t1:
+        t2 = None
+    return pt_pdf, apt_pdf, np.array(flags), t1, t2
+
+
+_PREDS = st.one_of(
+    st.builds(Predicate, st.just("c"), st.just("="), st.sampled_from(["x", "y", "z"])),
+    st.builds(
+        Predicate,
+        st.just("v"),
+        st.sampled_from(["=", "<=", ">="]),
+        st.sampled_from([1.0, 2.0, 2.5, 3.0]),
+    ),
+)
+_PATTERNS = st.lists(_PREDS, max_size=2, unique_by=lambda p: p.attr).map(
+    lambda preds: Pattern(tuple(sorted(preds, key=lambda p: p.attr)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projections(), st.lists(_PATTERNS, min_size=1, max_size=8))
+def test_evaluator_equals_brute_force(data, patterns):
+    from repro.core.metrics import F1_FLAG, SIDE, pandas_side
+
+    pt_pdf, apt_pdf, flags, t1, t2 = data
+    # What collect_question hands the evaluator: the APT rows on the two
+    # sides with their side and flag, and the sampled side sizes.
+    pt_side = pandas_side(pt_pdf, ("g",), t1, t2)
+    proj = apt_pdf.assign(
+        **{SIDE: pt_side[apt_pdf[PT_ID]], F1_FLAG: flags[apt_pdf[PT_ID]]}
+    )
+    proj = proj[proj[SIDE] > 0].drop(columns="g")
+    n1 = int(((pt_side == 1) & flags).sum())
+    n2 = int(((pt_side == 2) & flags).sum())
+    ev = SupportEvaluator(proj, n1, n2)
+    sampled_pt = pt_pdf[flags]
+    sampled_apt = apt_pdf[flags[apt_pdf[PT_ID]]]
+    want = [
+        brute_force_support(sampled_apt, sampled_pt, ("g",), p, t1, t2)
+        for p in patterns
+    ]
+    assert ev.supports(patterns) == want
+
+
+def test_evaluator_compares_each_predicate_once(monkeypatch):
+    import pandas as pd
+
+    calls = []
+    orig = Predicate.pandas_mask
+
+    def counting(self, pdf):
+        calls.append(self)
+        return orig(self, pdf)
+
+    monkeypatch.setattr(Predicate, "pandas_mask", counting)
+    proj = pd.DataFrame({
+        PT_ID: [0, 0, 1, 2, 3],
+        "__side": [1, 1, 1, 2, 2],
+        "__f1": [True] * 5,
+        "c": ["x", "y", "x", None, "x"],
+        "v": [1.0, 2.0, 3.0, 2.0, None],
+    })
+    ev = SupportEvaluator(proj, 2, 2)
+    pats = [
+        P(("c", "=", "x")),
+        P(("v", ">=", 2.0)),
+        P(("c", "=", "x"), ("v", ">=", 2.0)),
+        P(("c", "=", "x"), ("v", "<=", 2.0)),
+        Pattern(),
+    ]
+    first = ev.supports(pats)
+    assert ev.supports(pats[::-1]) == first[::-1]
+    distinct = {p for pat in pats for p in pat.preds}
+    assert len(calls) == len(set(calls)) == len(distinct) == 3
+    # tuple 1 (x, 3.0) matches both predicates; tuple 3's v is NULL.
+    assert [(s.cov1, s.cov2) for s in first] == [
+        (2, 1), (2, 1), (1, 0), (1, 0), (2, 2)
+    ]

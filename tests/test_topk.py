@@ -66,3 +66,41 @@ def test_topk_k_larger_than_pool():
 
 def test_topk_empty():
     assert diverse_topk([], 5, lambda t: t, lambda t: 0) == []
+
+
+def _reference_topk(candidates, k, pattern_of, fscore_of):
+    """The quadratic loop the running-min selection replaced: every round
+    recomputes each candidate's min D over the whole selected set."""
+    remaining = sorted(candidates, key=fscore_of, reverse=True)
+    if not remaining:
+        return []
+    selected = [remaining.pop(0)]
+    while remaining and len(selected) < k:
+        best_i, best_score = 0, float("-inf")
+        for i, cand in enumerate(remaining):
+            d = min(diversity(pattern_of(cand), pattern_of(s)) for s in selected)
+            score = fscore_of(cand) + d
+            if score > best_score:
+                best_i, best_score = i, score
+        selected.append(remaining.pop(best_i))
+    return selected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_topk_equals_quadratic_loop(seed):
+    import random
+
+    rng = random.Random(seed)
+    # Few attributes, values and F-scores: many equal F-scores and many
+    # equal wscores (e.g. 0.5 + 1.0 == 1.0 + 0.5).
+    pool = [
+        P(*((a, rng.choice(["=", "<=", ">="]), rng.randint(0, 2))
+            for a in rng.sample("abcd", rng.randint(1, 3))))
+        for _ in range(rng.randint(1, 60))
+    ]
+    items = [(i, p, rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
+             for i, p in enumerate(pool)]
+    k = rng.randint(1, 12)
+    got = diverse_topk(items, k, lambda t: t[1], lambda t: t[2])
+    want = _reference_topk(items, k, lambda t: t[1], lambda t: t[2])
+    assert [t[0] for t in got] == [t[0] for t in want]
