@@ -11,11 +11,15 @@ F-score sampling (λ_F1-samp) samples *PT tuples* (not APT rows) with a
 deterministic hash so numerator and denominator stay consistent, and so that
 the same sample is drawn across batches.
 
-``collect_question`` binds a question to PT once per ``explain()``: it tags
-each PT row with its side and F-score-sample flag and drops the rows on
-neither side. One Arrow collect then returns the side sizes and the
-projection (``apt_projection``) of every APT built on that sided PT; the
-projections are scored on the driver by ``SupportEvaluator``.
+``collect_question`` binds a question to PT in two parts. The Spark part
+does not depend on the question: per (PT, join graphs, seed) it builds one
+union plan of PT's rows and each graph's APT projection, memoised on the
+``ProvenanceTable``, and collects it with one Arrow action. A repeated
+collect re-runs that plan, and Spark skips the stages that already ran. The
+driver part binds the question to the collected rows: each row's side
+(:func:`pandas_side`, the twin of :func:`side_col`), its λ_F1-samp flag
+and the side sizes. The bound projections are scored on the driver by
+``SupportEvaluator``.
 ``compute_support`` scores patterns with batched Spark aggregations,
 without collecting the APT. No pipeline or experiment calls it: it is the
 reference for reported supports that the tests, the benchmark's output
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import pandas as pd
@@ -48,7 +52,7 @@ SIDE = "__side"      # 1: provenance of t1, 2: of t2 (see side_col)
 F1_FLAG = "__f1"     # the PT tuple is in the λ_F1-samp sample
 ROW_HASH = "__hash"  # content hash of an APT projection row
 GRAPH = "__g"        # union branch of a collected row (collect_question)
-SIZES = ("__n1", "__n2", "__s1", "__s2")  # exact and sampled side sizes
+BUCKET = "__bucket"  # a PT tuple's λ_F1-samp draw (see _bucket)
 
 
 @dataclass(frozen=True)
@@ -136,14 +140,24 @@ def pandas_side(
     return np.where(c1, 1, np.where(c2, 2, 0))
 
 
-def _f1_flag(rate: float | None, seed: int) -> Column:
-    """λ_F1-samp membership of a PT tuple: a hash of its ``__pt_id``, so
-    every batch, join graph and path draws the same sample."""
+def _bucket(seed: int) -> Column:
+    """A PT tuple's λ_F1-samp draw in [0, 10^4): a hash of its ``__pt_id``,
+    so every batch, join graph and path draws the same sample."""
+    return F.pmod(F.xxhash64(F.col(PT_ID), F.lit(seed)), F.lit(10000))
+
+
+def _f1_threshold(rate: float | None) -> int | None:
+    """Tuples whose draw is below this are in the λ_F1-samp sample; None
+    when every tuple counts."""
     if rate is None or rate >= 1.0:
-        return F.lit(True)
-    return F.pmod(F.xxhash64(F.col(PT_ID), F.lit(seed)), F.lit(10000)) < int(
-        rate * 10000
-    )
+        return None
+    return int(rate * 10000)
+
+
+def _f1_flag(rate: float | None, seed: int) -> Column:
+    """λ_F1-samp membership of a PT tuple (see :func:`_bucket`)."""
+    threshold = _f1_threshold(rate)
+    return F.lit(True) if threshold is None else _bucket(seed) < threshold
 
 
 def _with_side(
@@ -157,17 +171,6 @@ def _with_side(
     )
 
 
-def _size_cols(flag: Column) -> list[Column]:
-    """Aggregates of a sided frame: n1, n2, sampled n1, sampled n2."""
-    side = F.col(SIDE)
-    return [
-        F.count(F.when(side == 1, 1)).alias(SIZES[0]),
-        F.count(F.when(side == 2, 1)).alias(SIZES[1]),
-        F.count(F.when((side == 1) & flag, 1)).alias(SIZES[2]),
-        F.count(F.when((side == 2) & flag, 1)).alias(SIZES[3]),
-    ]
-
-
 def pt_sizes(
     pt: ProvenanceTable,
     t1: dict[str, object],
@@ -178,27 +181,47 @@ def pt_sizes(
     """(|PT(Q,D,t1)|, |PT(Q,D,t2)|) under the F-score sample. For
     single-point questions (t2 is None) the second side is PT \\ PT(t1)."""
     sided = _with_side(pt.df, pt.group_cols, t1, t2)
-    row = sided.agg(*_size_cols(_f1_flag(f1_samp, seed))).collect()[0]
-    return int(row[SIZES[2]]), int(row[SIZES[3]])
+    side = F.col(SIDE)
+    row = (
+        sided.filter(_f1_flag(f1_samp, seed))
+        .agg(F.count(F.when(side == 1, 1)), F.count(F.when(side == 2, 1)))
+        .collect()[0]
+    )
+    return int(row[0]), int(row[1])
 
 
 @dataclass(frozen=True)
 class QuestionSides:
-    """A user question bound to ``PT(Q, D)``: ``pt`` holds only the PT rows
-    on the question's two sides, tagged with their side (``__side``) and
-    their λ_F1-samp membership (``__f1``); ``n1``/``n2`` are the side sizes
-    under that sample (a1, a2 of Def. 7). ``f1_samp`` is the rate in
-    effect: None when every tuple counts. ``collected`` maps each join graph
-    collected with the question to its APT (built on ``pt``) and that APT's
-    :func:`apt_projection` over its pattern columns, as a pandas frame."""
+    """A user question bound to ``PT(Q, D)`` (``source``): ``n1``/``n2``
+    are the side sizes under the λ_F1-samp sample (a1, a2 of Def. 7), and
+    ``f1_samp`` is the rate in effect: None when every tuple counts.
+    ``collected`` maps each join graph collected with the question to its
+    APT (built on the unsided PT) and the bound projection of that APT
+    over its pattern columns, as a pandas frame equal to
+    :func:`apt_projection` of the APT built on :attr:`pt`."""
 
-    pt: ProvenanceTable
+    source: ProvenanceTable
+    t1: dict[str, object]
+    t2: dict[str, object] | None
+    seed: int
     n1: int
     n2: int
     f1_samp: float | None
     collected: dict[JoinGraph, tuple[APT, pd.DataFrame]] = field(
         default_factory=dict
     )
+
+    @cached_property
+    def pt(self) -> ProvenanceTable:
+        """PT restricted to the question's two sides, each row tagged with
+        its side (``__side``) and λ_F1-samp membership (``__f1``). Mining
+        does not read it; it is built when first read."""
+        sided = _with_side(self.source.df, self.source.group_cols, self.t1, self.t2)
+        return replace(
+            self.source,
+            df=sided.withColumn(F1_FLAG, _f1_flag(self.f1_samp, self.seed)),
+            n_rows=self.n1 + self.n2,
+        )
 
 
 def question_sides(
@@ -212,6 +235,38 @@ def question_sides(
     return collect_question(None, pt, (), t1, t2, f1_samp, seed)
 
 
+def _prepared(
+    db: Database | None,
+    pt: ProvenanceTable,
+    graphs: tuple[JoinGraph, ...],
+    seed: int,
+) -> tuple[DataFrame, list[APT]]:
+    """The question-independent collect plan of ``graphs`` over ``pt``,
+    memoised on ``pt``: a union by name of PT's rows (``__g`` = -1) and
+    each graph's APT projection (``__g`` = its index). Every branch has
+    ``__pt_id``, the group-by columns and the λ_F1-samp draw ``__bucket``;
+    a graph's branch adds its pattern columns and ``__hash``. Re-running
+    this DataFrame reuses its physical plan, so Spark skips the shuffle
+    stages an earlier run already wrote."""
+    key = (graphs, seed)
+    if key not in pt.prepared:
+        lead = [PT_ID, *pt.group_cols, BUCKET]
+        base = replace(pt, df=pt.df.withColumn(BUCKET, _bucket(seed)))
+        apts = [materialize_apt(db, base, jg) for jg in graphs]
+        branches = [base.df.select(lead)] + [
+            apt.df.select(
+                *lead, *apt.pattern_cols, _row_hash(apt.pattern_cols, seed)
+            )
+            for apt in apts
+        ]
+        union = reduce(
+            lambda a, b: a.unionByName(b, allowMissingColumns=True),
+            (b.withColumn(GRAPH, F.lit(i - 1)) for i, b in enumerate(branches)),
+        )
+        pt.prepared[key] = (union, apts)
+    return pt.prepared[key]
+
+
 def collect_question(
     db: Database | None,
     pt: ProvenanceTable,
@@ -221,37 +276,41 @@ def collect_question(
     f1_samp: float | None = None,
     seed: int = 0,
 ) -> QuestionSides:
-    """Split PT into the question's sides and collect the APT projection of
-    every join graph in ``graphs`` (over ``db``), with one Spark action.
+    """Bind a question to PT and collect the APT projection of every join
+    graph in ``graphs`` (over ``db``), with one Spark action.
 
-    The action is one Arrow collect of a union by name: a one-row branch
-    with the exact and the sampled side sizes, and one branch per graph,
-    each tagged with its index in ``__g``. A column missing from a branch
-    is NULL on that branch's rows, so the table is split per ``__g`` in
-    Arrow before any pandas conversion: a pandas frame of the union would
-    turn every such integer column into float64, ``__hash`` included.
+    The action is one Arrow collect of the memoised question-independent
+    plan (:func:`_prepared`). Its table is split per ``__g`` in Arrow, and
+    each part is bound to the question before any pandas conversion: rows
+    on neither side are dropped, and ``__side`` (int32) and ``__f1`` (bool)
+    are added. A column missing from a branch is NULL on that branch's
+    rows, so a pandas frame of the whole union would turn every such
+    integer column into float64, ``__hash`` included. The side sizes are
+    counted on PT's branch.
 
     Raises ``ValueError`` when a side has no provenance. When the F-score
     sample misses a side entirely, every tuple counts instead."""
-    sided = _with_side(pt.df, pt.group_cols, t1, t2)
-    flag = _f1_flag(f1_samp, seed)
-    sided_pt = replace(pt, df=sided.withColumn(F1_FLAG, flag))
-    apts = [materialize_apt(db, sided_pt, jg) for jg in graphs]
-    branches = [sided.agg(*_size_cols(flag))] + [
-        apt_projection(apt, apt.pattern_cols, seed) for apt in apts
-    ]
-    union = reduce(
-        lambda a, b: a.unionByName(b, allowMissingColumns=True),
-        (b.withColumn(GRAPH, F.lit(i - 1)) for i, b in enumerate(branches)),
-    )
+    union, apts = _prepared(db, pt, tuple(graphs), seed)
     table = union.toArrow()
     tag = table.column(GRAPH)
+    threshold = _f1_threshold(f1_samp)
 
-    def branch(i: int) -> pa.Table:
-        return table.filter(pc.equal(tag, i))
+    def branch(
+        i: int, threshold: int | None
+    ) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+        """Branch ``i``'s rows on the question's sides, their sides and
+        their λ_F1-samp flags."""
+        part = table.filter(pc.equal(tag, i))
+        groups = part.select(list(pt.group_cols)).to_pandas(date_as_object=True)
+        side = pandas_side(groups, pt.group_cols, t1, t2)
+        on_side = side > 0
+        part = part.filter(on_side)
+        bucket = part.column(BUCKET).to_numpy()
+        flag = np.full(len(bucket), True) if threshold is None else bucket < threshold
+        return part, side[on_side].astype(np.int32), flag
 
-    sizes = branch(-1)
-    n1, n2, s1, s2 = (sizes.column(c)[0].as_py() for c in SIZES)
+    _, side, flag = branch(-1, threshold)
+    n1, n2 = int(np.count_nonzero(side == 1)), int(np.count_nonzero(side == 2))
     if n1 == 0:
         raise ValueError(f"question tuple t1={t1} has no provenance in PT(Q, D)")
     if n2 == 0:
@@ -261,47 +320,51 @@ def collect_question(
             else f"every provenance tuple belongs to t1={t1}: "
             "PT(Q, D) \\ PT(Q, D, t1) is empty"
         )
-    sampled = f1_samp is not None and f1_samp < 1.0
-    fallback = sampled and (s1 == 0 or s2 == 0)
-    if fallback:
-        sampled, flag = False, F.lit(True)
-        sided_pt = replace(sided_pt, df=sided.withColumn(F1_FLAG, flag))
-        apts = [replace(apt, df=apt.df.withColumn(F1_FLAG, flag)) for apt in apts]
-    elif sampled:
-        n1, n2 = s1, s2
+    if threshold is not None:
+        s1 = int(np.count_nonzero((side == 1) & flag))
+        s2 = int(np.count_nonzero((side == 2) & flag))
+        if s1 == 0 or s2 == 0:
+            threshold = None
+        else:
+            n1, n2 = s1, s2
     collected = {}
     for i, (jg, apt) in enumerate(zip(graphs, apts)):
-        cols = [PT_ID, SIDE, F1_FLAG, *apt.pattern_cols, ROW_HASH]
+        part, side, flag = branch(i, threshold)
+        part = (
+            part.select([PT_ID, *apt.pattern_cols, ROW_HASH])
+            .add_column(1, SIDE, pa.array(side))
+            .add_column(2, F1_FLAG, pa.array(flag))
+        )
         # The options DataFrame.toPandas passes, so a frame equals the
         # graph's own apt_projection(...).toPandas().
-        pdf = branch(i).select(cols).to_pandas(
-            date_as_object=True, coerce_temporal_nanoseconds=True
+        collected[jg] = (
+            apt,
+            part.to_pandas(date_as_object=True, coerce_temporal_nanoseconds=True),
         )
-        if fallback:
-            pdf[F1_FLAG] = True
-        collected[jg] = (apt, pdf)
     return QuestionSides(
-        pt=replace(sided_pt, n_rows=n1 + n2),
+        source=pt,
+        t1=t1,
+        t2=t2,
+        seed=seed,
         n1=n1,
         n2=n2,
-        f1_samp=f1_samp if sampled else None,
+        f1_samp=f1_samp if threshold is not None else None,
         collected=collected,
     )
 
 
+def _row_hash(cols: Sequence[str], seed: int) -> Column:
+    """Content hash of an APT projection row, so an order by it does not
+    depend on how the APT is partitioned."""
+    return F.xxhash64(PT_ID, *cols, F.lit(seed)).alias(ROW_HASH)
+
+
 def apt_projection(apt: APT, cols: Iterable[str], seed: int = 0) -> DataFrame:
     """What mining reads of an APT built on :attr:`QuestionSides.pt`:
-    (``__pt_id``, ``__side``, ``__f1``, ``cols``, ``__hash``). ``__hash`` is
-    a content hash of the row, so an order by it does not depend on how the
-    APT is partitioned."""
+    (``__pt_id``, ``__side``, ``__f1``, ``cols``, ``__hash``).
+    ``collect_question`` returns the same rows, bound on the driver."""
     cols = list(cols)
-    return apt.df.select(
-        PT_ID,
-        SIDE,
-        F1_FLAG,
-        *cols,
-        F.xxhash64(PT_ID, *cols, F.lit(seed)).alias(ROW_HASH),
-    )
+    return apt.df.select(PT_ID, SIDE, F1_FLAG, *cols, _row_hash(cols, seed))
 
 
 def compute_support(

@@ -3,11 +3,13 @@
 Phases, each timed under the step names the paper's runtime-breakdown
 tables use (Fig. 7/7a/9c/9d):
 
-  Materialize APTs   — build the APT for Ω on the question's sided PT. Its
-                       projection (``__pt_id``, side, F-score-sample flag,
-                       pattern columns, content hash) comes from
-                       ``collect_question``: one Arrow collect for the
-                       question and every join graph ``explain`` mines.
+  Materialize APTs   — the APT projection of Ω (``__pt_id``, side,
+                       F-score-sample flag, pattern columns, content
+                       hash) from ``collect_question``: one Arrow collect
+                       of a plan memoised per PT for every join graph
+                       ``explain`` mines, bound to the question on the
+                       driver. A repeated or new question on the same
+                       query re-runs that plan instead of building one.
   Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
   Sampling for F1    — keep the collected rows of the deterministic PT-tuple

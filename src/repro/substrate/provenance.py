@@ -19,7 +19,7 @@ Conventions (matching the paper's appendix output):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from pyspark.sql import Column, DataFrame, Window
@@ -38,7 +38,13 @@ def prov_col(rel_or_alias: str, attr: str) -> str:
 
 @dataclass
 class ProvenanceTable:
-    """``PT(Q, D)`` plus the bookkeeping needed to slice it per answer."""
+    """``PT(Q, D)`` plus the bookkeeping needed to slice it per answer.
+
+    ``prepared`` memoises the question-independent collect plans that
+    ``metrics.collect_question`` builds over this PT, keyed by (join graphs,
+    seed). They live and die with this object: a recomputed PT, or one
+    dropped by ``Database.add``, starts with none. Clearing the dict makes
+    the next collect build and run its APT joins again."""
 
     query: AggQuery
     df: DataFrame               # prov_* columns + group output columns + __pt_id
@@ -46,6 +52,9 @@ class ProvenanceTable:
     prov_cols: tuple[str, ...]   # the prov_* columns
     group_prov_cols: tuple[str, ...]  # prov_* twins of group-by attrs
     n_rows: int
+    prepared: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def _prov_prefixes(query: AggQuery) -> dict[str, str]:

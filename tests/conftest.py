@@ -148,3 +148,19 @@ def action_counter(spark, monkeypatch):
     for name in ("count", "collect", "toPandas", "toArrow"):
         monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     return state
+
+
+@pytest.fixture
+def job_counter(spark):
+    """The highest Spark job id the status tracker knows, read after the
+    listener bus has delivered every pending event: the jobs some code ran
+    are the change in this id (the tracker retains only the latest jobs,
+    so their number stops growing while the ids keep rising)."""
+    sc = spark.sparkContext
+    tracker, bus = sc.statusTracker(), sc._jsc.sc().listenerBus()
+
+    def last_job_id() -> int:
+        bus.waitUntilEmpty()
+        return max(tracker.getJobIdsForGroup(None) or [-1])
+
+    return last_job_id

@@ -146,28 +146,43 @@ def test_topk_independent_of_shuffle_partitions(spark, mimic_db, mimic_result):
     try:
         for n in ("1", "7", "64"):
             spark.conf.set(key, n)
+            # A prepared plan keeps the physical plan of its first run.
+            mimic_result.pt.prepared.clear()
             got = _signature(_mimic_explain(mimic_db), MIMIC_PARAMS.k)
             assert got == want, f"{key}={n}"
     finally:
         spark.conf.set(key, saved)
 
 
-def test_warm_explain_makes_one_action(mimic_db, mimic_result, action_counter):
+def test_warm_explain_makes_one_action(
+    mimic_db, mimic_result, action_counter, job_counter
+):
     """With PT and the catalog statistics cached, the question's side sizes
-    and every mined graph's APT projection come from one action."""
-    before = action_counter["n"]
+    and every mined graph's APT projection come from one action. It re-runs
+    the prepared plan, so Spark skips the stages that ran before and the
+    action is one job, not one per shuffle stage."""
+    before, jobs = action_counter["n"], job_counter()
     res = _mimic_explain(mimic_db)
     assert res.n_mined >= 2
     assert action_counter["n"] - before == 1
+    assert job_counter() - jobs == 1
 
 
 @pytest.mark.parametrize("t2", ["Private", None])
-def test_reported_supports_match_fresh_apts(mimic_db, mimic_result, t2):
+def test_reported_supports_match_fresh_apts(
+    mimic_db, mimic_result, t2, job_counter
+):
     from repro.core.apt import materialize_apt
     from repro.core.metrics import compute_support, question_sides
     from repro.workload import UQ_MIMIC4 as uq
 
-    res = mimic_result if t2 else _mimic_explain(mimic_db, t2=None)
+    if t2:
+        res = mimic_result
+    else:
+        # Another question on the same query re-runs the prepared plan.
+        before = job_counter()
+        res = _mimic_explain(mimic_db, t2=None)
+        assert job_counter() - before == 1
     t2_ = uq.t2 if t2 else None
     f1 = question_sides(
         res.pt, uq.t1, t2_, MIMIC_PARAMS.f1_samp, MIMIC_PARAMS.seed
@@ -184,3 +199,43 @@ def test_reported_supports_match_fresh_apts(mimic_db, mimic_result, t2):
             MIMIC_PARAMS.seed,
         )
         assert [e.support for e in expls] == want
+
+
+def test_reported_numeric_thresholds_reevaluate_to_their_support(
+    mimic_db, mimic_result
+):
+    """Refinement thresholds are rounded to 4 decimals; the threshold an
+    explanation prints is the one its support was computed with."""
+    import dataclasses
+
+    from repro.core.apt import materialize_apt
+    from repro.core.metrics import brute_force_support
+    from repro.core.pattern import Pattern, Predicate
+    from repro.workload import UQ_MIMIC4 as uq
+
+    params = dataclasses.replace(MIMIC_PARAMS, f1_samp=1.0)
+    res = _mimic_explain(mimic_db, params=params)
+    numeric = [
+        e for e in res.explanations
+        if any(p.op != "=" for p in e.pattern.preds)
+    ]
+    assert numeric
+    pt_pdf = res.pt.df.toPandas()
+    apt_pdfs = {}
+    for e in numeric:
+        preds = []
+        for p in e.pattern.preds:
+            if p.op == "=":
+                preds.append(p)
+                continue
+            sym = {"<=": "<", ">=": ">"}[p.op]
+            printed = float(p.describe().split(sym, 1)[1])
+            assert printed == round(printed, 4)
+            preds.append(Predicate(p.attr, p.op, printed))
+        if e.jg not in apt_pdfs:
+            apt_pdfs[e.jg] = materialize_apt(mimic_db, res.pt, e.jg).df.toPandas()
+        got = brute_force_support(
+            apt_pdfs[e.jg], pt_pdf, res.pt.group_cols, Pattern(tuple(preds)),
+            uq.t1, uq.t2,
+        )
+        assert got == e.support, e.describe()

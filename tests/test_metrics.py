@@ -1,4 +1,6 @@
 """Quality metrics (Def. 7): Spark path vs pandas brute force, sampling."""
+import datetime as dt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,7 +294,8 @@ def split_db(spark):
     return db, compute_pt(db, query)
 
 
-@pytest.mark.parametrize("f1_samp", [None, 0.5])
+# At 0.0001 the sample misses both sides, so every tuple counts.
+@pytest.mark.parametrize("f1_samp", [None, 0.5, 0.0001])
 def test_collected_frames_equal_each_graph_own_collect(split_db, f1_samp):
     import pandas as pd
 
@@ -430,3 +433,102 @@ def test_evaluator_compares_each_predicate_once(monkeypatch):
     assert [(s.cov1, s.cov2) for s in first] == [
         (2, 1), (2, 1), (1, 0), (1, 0), (2, 2)
     ]
+
+
+_SIDE_POOLS = {
+    "int": ("int", [1, 2, 7, None], 99),
+    "string": ("string", ["A", "B", "", None], "Z"),
+    "date": (
+        "date",
+        [dt.date(2012, 1, 1), dt.date(2015, 6, 30), None],
+        dt.date(1999, 12, 31),
+    ),
+}
+
+
+@st.composite
+def _side_cases(draw):
+    """A frame over one or two group columns of type int, string or date
+    (NULLs included) and questions on it: t2 = None, t1 = t2, and values
+    absent from the frame."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_SIDE_POOLS)), min_size=1, max_size=2))
+    cols = tuple(f"g{i}" for i in range(len(kinds)))
+    pools = [_SIDE_POOLS[k][1] for k in kinds]
+    n = draw(st.integers(0, 12))
+    rows = [tuple(draw(st.sampled_from(p)) for p in pools) for _ in range(n)]
+
+    def answer():
+        return {
+            c: draw(st.sampled_from(_SIDE_POOLS[k][1] + [_SIDE_POOLS[k][2]]))
+            for c, k in zip(cols, kinds)
+        }
+
+    questions = []
+    for _ in range(draw(st.integers(1, 4))):
+        t1 = answer()
+        t2 = draw(st.one_of(st.none(), st.just(t1), st.builds(answer)))
+        questions.append((t1, t2))
+    schema = ", ".join(f"{c} {_SIDE_POOLS[k][0]}" for c, k in zip(cols, kinds))
+    return schema, rows, cols, questions
+
+
+@settings(max_examples=40, deadline=None)
+@given(_side_cases())
+def test_pandas_side_equals_spark_side_col(spark, case):
+    """``collect_question`` binds sides on the driver with ``pandas_side``
+    over Arrow-converted group columns; it must agree with ``side_col``."""
+    import numpy as np
+    import pandas as pd
+
+    from repro.core.metrics import pandas_side, side_col
+
+    schema, rows, cols, questions = case
+    # From pandas: Arrow, no Python worker (~10x faster than a row list).
+    df = spark.createDataFrame(pd.DataFrame(rows, columns=list(cols)), schema)
+    sides = [
+        side_col(cols, t1, t2).alias(f"s{j}")
+        for j, (t1, t2) in enumerate(questions)
+    ]
+    table = df.select(*cols, *sides).toArrow()  # rows keep their order
+    groups = table.select(list(cols)).to_pandas(date_as_object=True)
+    for j, (t1, t2) in enumerate(questions):
+        want = table.column(f"s{j}").fill_null(0).to_numpy()
+        got = pandas_side(groups, cols, t1, t2)
+        assert np.array_equal(got, want), (t1, t2)
+
+
+def test_prepared_plan_is_reused_and_dropped_with_its_pt(
+    spark, toy_db, toy_query, apt
+):
+    """The collect plan is memoised per PT: another question reuses it,
+    while ``Database.add`` and a recomputed PT each build a new one."""
+    from repro.core.metrics import collect_question
+    from repro.substrate.catalog import Database
+    from repro.substrate.provenance import compute_pt
+
+    db = Database(spark)
+    for name in toy_db.names():
+        db.add(name, toy_db.df(name), toy_db.pk(name))
+    pt = compute_pt(db, toy_query)
+    first = collect_question(db, pt, [apt.jg], T1, T2)
+    ((plan, _),) = pt.prepared.values()
+    other = collect_question(db, pt, [apt.jg], T1, None)
+    assert [p for p, _ in pt.prepared.values()] == [plan]
+    assert (first.n1, first.n2, other.n1, other.n2) == (3, 1, 3, 1)
+
+    # Drop the 2016-01-22 game (2015-16, two scoring rows).
+    db.add("game", toy_db.df("game").filter("day != 22"), toy_db.pk("game"))
+    added = compute_pt(db, toy_query)
+    sides = collect_question(db, added, [apt.jg], T1, T2)
+    assert (sides.n1, sides.n2) == (2, 1)
+    assert len(sides.collected[apt.jg][1]) == len(first.collected[apt.jg][1]) - 2
+    ((added_plan, _),) = added.prepared.values()
+    assert added_plan is not plan
+
+    added.df.unpersist()
+    recomputed = compute_pt(db, toy_query)
+    assert recomputed is not added
+    again = collect_question(db, recomputed, [apt.jg], T1, T2)
+    ((recomputed_plan, _),) = recomputed.prepared.values()
+    assert recomputed_plan is not added_plan
+    assert (again.n1, again.n2) == (2, 1)
