@@ -3,11 +3,11 @@
 ``explain`` is the system entry point for a user question: it computes the
 provenance table (memoised per Database), enumerates join graphs up to
 λ_#edges (Algorithm 2), filters them with ``isValid`` (PK-connectivity +
-estimated APT cost), collects every surviving graph's APT projection in
-one Spark action of a plan memoised on PT and splits its rows into the
-question's two sides on the driver (raising ``ValueError`` when a question
-tuple has no provenance), runs MineAPT per graph, and returns the union of per-graph top-k patterns ranked by F-score
-(the paper's global ranking, §2.5/§4).
+estimated APT cost), collects every surviving graph's APT projection over
+the question's two sides in one Spark action of a plan memoised on PT
+(raising ``ValueError`` when a question tuple has no provenance), runs
+MineAPT per graph, and returns the union of per-graph top-k patterns ranked
+by F-score (the paper's global ranking, §2.5/§4).
 """
 from __future__ import annotations
 

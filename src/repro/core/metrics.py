@@ -11,15 +11,13 @@ F-score sampling (λ_F1-samp) samples *PT tuples* (not APT rows) with a
 deterministic hash so numerator and denominator stay consistent, and so that
 the same sample is drawn across batches.
 
-``collect_question`` binds a question to PT in two parts. The Spark part
-does not depend on the question: per (PT, join graphs, seed) it builds one
-union plan of PT's rows and each graph's APT projection, memoised on the
-``ProvenanceTable``, and collects it with one Arrow action. A repeated
-collect re-runs that plan, and Spark skips the stages that already ran. The
-driver part binds the question to the collected rows: each row's side
-(:func:`pandas_side`, the twin of :func:`side_col`), its λ_F1-samp flag
-and the side sizes. The bound projections are scored on the driver by
-``SupportEvaluator``.
+``collect_question`` splits PT into a question's two sides and collects,
+with one Arrow action, PT's rows on them and each join graph's APT
+projection built on those rows. Its Spark plan is memoised on the
+``ProvenanceTable``, so a repeated question re-runs the same DataFrame and
+Spark skips the stages that already ran. The driver gives each collected
+row its side and λ_F1-samp flag by ``__pt_id`` from PT's rows, counts the
+side sizes there, and ``SupportEvaluator`` scores the bound projections.
 ``compute_support`` scores patterns with batched Spark aggregations,
 without collecting the APT. No pipeline or experiment calls it: it is the
 reference for reported supports that the tests, the benchmark's output
@@ -113,8 +111,10 @@ def side_col(
     """The side of the question a PT or APT row is on: 1 for t1's
     provenance, 2 for t2's (for a single-point question, every other PT
     tuple), NULL for neither. Group-by values compare null-safely, so a NULL
-    group value is an answer tuple of its own, as in GROUP BY.
-    :func:`pandas_side` is the same rule over pandas frames."""
+    group value is an answer tuple of its own, as in GROUP BY, and a
+    question value is cast to its column's type by Spark's comparison.
+    :func:`pandas_side` is the same rule over pandas frames, for question
+    values typed like their columns."""
     c1 = _group_cond(group_cols, t1)
     c2 = ~c1 if t2 is None else _group_cond(group_cols, t2)
     return F.when(c1, 1).when(c2, 2)
@@ -126,7 +126,9 @@ def pandas_side(
     t1: dict[str, object],
     t2: dict[str, object] | None,
 ) -> np.ndarray:
-    """:func:`side_col` over a pandas frame, with 0 for neither side."""
+    """:func:`side_col` over a pandas frame, with 0 for neither side, for
+    question values typed like their columns (no implicit cast). The
+    reference :func:`brute_force_support` splits sides with it."""
 
     def cond(t: dict[str, object]) -> np.ndarray:
         m = np.ones(len(pdf), dtype=bool)
@@ -196,8 +198,8 @@ class QuestionSides:
     are the side sizes under the λ_F1-samp sample (a1, a2 of Def. 7), and
     ``f1_samp`` is the rate in effect: None when every tuple counts.
     ``collected`` maps each join graph collected with the question to its
-    APT (built on the unsided PT) and the bound projection of that APT
-    over its pattern columns, as a pandas frame equal to
+    APT (built on PT's rows on the two sides) and the bound projection of
+    that APT over its pattern columns, as a pandas frame equal to
     :func:`apt_projection` of the APT built on :attr:`pt`."""
 
     source: ProvenanceTable
@@ -239,23 +241,27 @@ def _prepared(
     db: Database | None,
     pt: ProvenanceTable,
     graphs: tuple[JoinGraph, ...],
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
     seed: int,
 ) -> tuple[DataFrame, list[APT]]:
-    """The question-independent collect plan of ``graphs`` over ``pt``,
-    memoised on ``pt``: a union by name of PT's rows (``__g`` = -1) and
-    each graph's APT projection (``__g`` = its index). Every branch has
-    ``__pt_id``, the group-by columns and the λ_F1-samp draw ``__bucket``;
-    a graph's branch adds its pattern columns and ``__hash``. Re-running
-    this DataFrame reuses its physical plan, so Spark skips the shuffle
-    stages an earlier run already wrote."""
-    key = (graphs, seed)
-    if key not in pt.prepared:
-        lead = [PT_ID, *pt.group_cols, BUCKET]
-        base = replace(pt, df=pt.df.withColumn(BUCKET, _bucket(seed)))
+    """The collect plan of a question over ``graphs``: a union by name of
+    PT's rows on the question's sides (``__pt_id``, ``__side`` and the
+    λ_F1-samp draw ``__bucket``; ``__g`` = -1) and each graph's APT, built
+    on those rows, projected on ``__pt_id``, its pattern columns and
+    ``__hash`` (``__g`` = the graph's index). The last plan built over
+    ``pt`` is memoised on it. Re-running that DataFrame reuses its physical
+    plan, so Spark skips the shuffle stages an earlier run already wrote."""
+    key = (graphs, seed, repr(t1), repr(t2))
+    if pt.prepared is None or pt.prepared[0] != key:
+        sided = _with_side(pt.df, pt.group_cols, t1, t2).withColumn(
+            BUCKET, _bucket(seed)
+        )
+        base = replace(pt, df=sided)
         apts = [materialize_apt(db, base, jg) for jg in graphs]
-        branches = [base.df.select(lead)] + [
+        branches = [sided.select(PT_ID, SIDE, BUCKET)] + [
             apt.df.select(
-                *lead, *apt.pattern_cols, _row_hash(apt.pattern_cols, seed)
+                PT_ID, *apt.pattern_cols, _row_hash(apt.pattern_cols, seed)
             )
             for apt in apts
         ]
@@ -263,8 +269,8 @@ def _prepared(
             lambda a, b: a.unionByName(b, allowMissingColumns=True),
             (b.withColumn(GRAPH, F.lit(i - 1)) for i, b in enumerate(branches)),
         )
-        pt.prepared[key] = (union, apts)
-    return pt.prepared[key]
+        pt.prepared = (key, (union, apts))
+    return pt.prepared[1]
 
 
 def collect_question(
@@ -276,40 +282,29 @@ def collect_question(
     f1_samp: float | None = None,
     seed: int = 0,
 ) -> QuestionSides:
-    """Bind a question to PT and collect the APT projection of every join
-    graph in ``graphs`` (over ``db``), with one Spark action.
+    """Split PT into the question's sides and collect the APT projection of
+    every join graph in ``graphs`` (over ``db``), with one Spark action.
 
-    The action is one Arrow collect of the memoised question-independent
-    plan (:func:`_prepared`). Its table is split per ``__g`` in Arrow, and
-    each part is bound to the question before any pandas conversion: rows
-    on neither side are dropped, and ``__side`` (int32) and ``__f1`` (bool)
-    are added. A column missing from a branch is NULL on that branch's
-    rows, so a pandas frame of the whole union would turn every such
-    integer column into float64, ``__hash`` included. The side sizes are
-    counted on PT's branch.
+    The action is one Arrow collect of the question's plan
+    (:func:`_prepared`), memoised on ``pt`` for a repeated question. Its
+    table is split per ``__g`` in Arrow. PT's branch gives the side sizes
+    and, per ``__pt_id``, the side and the λ_F1-samp flag, which each
+    graph's rows take by their ``__pt_id`` before any pandas conversion. A
+    column missing from a branch is NULL on that branch's rows, so a pandas
+    frame of the whole union would turn every such integer column into
+    float64, ``__hash`` included.
 
     Raises ``ValueError`` when a side has no provenance. When the F-score
     sample misses a side entirely, every tuple counts instead."""
-    union, apts = _prepared(db, pt, tuple(graphs), seed)
+    union, apts = _prepared(db, pt, tuple(graphs), t1, t2, seed)
     table = union.toArrow()
     tag = table.column(GRAPH)
-    threshold = _f1_threshold(f1_samp)
 
-    def branch(
-        i: int, threshold: int | None
-    ) -> tuple[pa.Table, np.ndarray, np.ndarray]:
-        """Branch ``i``'s rows on the question's sides, their sides and
-        their λ_F1-samp flags."""
-        part = table.filter(pc.equal(tag, i))
-        groups = part.select(list(pt.group_cols)).to_pandas(date_as_object=True)
-        side = pandas_side(groups, pt.group_cols, t1, t2)
-        on_side = side > 0
-        part = part.filter(on_side)
-        bucket = part.column(BUCKET).to_numpy()
-        flag = np.full(len(bucket), True) if threshold is None else bucket < threshold
-        return part, side[on_side].astype(np.int32), flag
+    def branch(i: int) -> pa.Table:
+        return table.filter(pc.equal(tag, i))
 
-    _, side, flag = branch(-1, threshold)
+    lead = branch(-1)
+    side = lead.column(SIDE).to_numpy()
     n1, n2 = int(np.count_nonzero(side == 1)), int(np.count_nonzero(side == 2))
     if n1 == 0:
         raise ValueError(f"question tuple t1={t1} has no provenance in PT(Q, D)")
@@ -320,20 +315,27 @@ def collect_question(
             else f"every provenance tuple belongs to t1={t1}: "
             "PT(Q, D) \\ PT(Q, D, t1) is empty"
         )
+    # __pt_id is a dense row number, so per-tuple values index by it.
+    ids = lead.column(PT_ID).to_numpy()
+    side_by_id = np.zeros(ids.max() + 1, dtype=np.int32)
+    side_by_id[ids] = side
+    flag_by_id = np.ones(len(side_by_id), dtype=bool)
+    threshold = _f1_threshold(f1_samp)
     if threshold is not None:
+        flag = lead.column(BUCKET).to_numpy() < threshold
         s1 = int(np.count_nonzero((side == 1) & flag))
         s2 = int(np.count_nonzero((side == 2) & flag))
         if s1 == 0 or s2 == 0:
             threshold = None
         else:
             n1, n2 = s1, s2
+            flag_by_id[ids] = flag
     collected = {}
     for i, (jg, apt) in enumerate(zip(graphs, apts)):
-        part, side, flag = branch(i, threshold)
-        part = (
-            part.select([PT_ID, *apt.pattern_cols, ROW_HASH])
-            .add_column(1, SIDE, pa.array(side))
-            .add_column(2, F1_FLAG, pa.array(flag))
+        part = branch(i).select([PT_ID, *apt.pattern_cols, ROW_HASH])
+        ids = part.column(PT_ID).to_numpy()
+        part = part.add_column(1, SIDE, pa.array(side_by_id[ids])).add_column(
+            2, F1_FLAG, pa.array(flag_by_id[ids])
         )
         # The options DataFrame.toPandas passes, so a frame equals the
         # graph's own apt_projection(...).toPandas().

@@ -6,10 +6,10 @@ tables use (Fig. 7/7a/9c/9d):
   Materialize APTs   — the APT projection of Ω (``__pt_id``, side,
                        F-score-sample flag, pattern columns, content
                        hash) from ``collect_question``: one Arrow collect
-                       of a plan memoised per PT for every join graph
-                       ``explain`` mines, bound to the question on the
-                       driver. A repeated or new question on the same
-                       query re-runs that plan instead of building one.
+                       of PT's rows on the question's sides and every
+                       join graph ``explain`` mines, with a plan memoised
+                       on PT. A repeated question re-runs that plan
+                       instead of building one.
   Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
   Sampling for F1    — keep the collected rows of the deterministic PT-tuple

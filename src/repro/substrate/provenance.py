@@ -40,11 +40,11 @@ def prov_col(rel_or_alias: str, attr: str) -> str:
 class ProvenanceTable:
     """``PT(Q, D)`` plus the bookkeeping needed to slice it per answer.
 
-    ``prepared`` memoises the question-independent collect plans that
-    ``metrics.collect_question`` builds over this PT, keyed by (join graphs,
-    seed). They live and die with this object: a recomputed PT, or one
-    dropped by ``Database.add``, starts with none. Clearing the dict makes
-    the next collect build and run its APT joins again."""
+    ``prepared`` memoises the last collect plan ``metrics.collect_question``
+    built over this PT, keyed by (join graphs, seed, question). It lives and
+    dies with this object: a recomputed PT, or one dropped by
+    ``Database.add``, starts with none. Setting it to None makes the next
+    collect build and run its APT joins again."""
 
     query: AggQuery
     df: DataFrame               # prov_* columns + group output columns + __pt_id
@@ -52,8 +52,8 @@ class ProvenanceTable:
     prov_cols: tuple[str, ...]   # the prov_* columns
     group_prov_cols: tuple[str, ...]  # prov_* twins of group-by attrs
     n_rows: int
-    prepared: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    prepared: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
 

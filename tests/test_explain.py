@@ -147,7 +147,7 @@ def test_topk_independent_of_shuffle_partitions(spark, mimic_db, mimic_result):
         for n in ("1", "7", "64"):
             spark.conf.set(key, n)
             # A prepared plan keeps the physical plan of its first run.
-            mimic_result.pt.prepared.clear()
+            mimic_result.pt.prepared = None
             got = _signature(_mimic_explain(mimic_db), MIMIC_PARAMS.k)
             assert got == want, f"{key}={n}"
     finally:
@@ -179,7 +179,8 @@ def test_reported_supports_match_fresh_apts(
     if t2:
         res = mimic_result
     else:
-        # Another question on the same query re-runs the prepared plan.
+        # Another question builds its own plan; asked again, it re-runs it.
+        _mimic_explain(mimic_db, t2=None)
         before = job_counter()
         res = _mimic_explain(mimic_db, t2=None)
         assert job_counter() - before == 1

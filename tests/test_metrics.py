@@ -475,8 +475,9 @@ def _side_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(_side_cases())
 def test_pandas_side_equals_spark_side_col(spark, case):
-    """``collect_question`` binds sides on the driver with ``pandas_side``
-    over Arrow-converted group columns; it must agree with ``side_col``."""
+    """``brute_force_support``, the reference both scorers are checked
+    against, splits sides with ``pandas_side`` over Arrow-converted group
+    columns; it must agree with ``side_col``, the rule the pipeline runs."""
     import numpy as np
     import pandas as pd
 
@@ -500,8 +501,9 @@ def test_pandas_side_equals_spark_side_col(spark, case):
 def test_prepared_plan_is_reused_and_dropped_with_its_pt(
     spark, toy_db, toy_query, apt
 ):
-    """The collect plan is memoised per PT: another question reuses it,
-    while ``Database.add`` and a recomputed PT each build a new one."""
+    """The last collect plan is memoised per PT: a repeated question reuses
+    it, while another question, ``Database.add`` and a recomputed PT each
+    build a new one."""
     from repro.core.metrics import collect_question
     from repro.substrate.catalog import Database
     from repro.substrate.provenance import compute_pt
@@ -510,25 +512,75 @@ def test_prepared_plan_is_reused_and_dropped_with_its_pt(
     for name in toy_db.names():
         db.add(name, toy_db.df(name), toy_db.pk(name))
     pt = compute_pt(db, toy_query)
+
+    def plan(pt):
+        return pt.prepared[1][0]
+
     first = collect_question(db, pt, [apt.jg], T1, T2)
-    ((plan, _),) = pt.prepared.values()
+    first_plan = plan(pt)
+    again = collect_question(db, pt, [apt.jg], dict(T1), dict(T2))
+    assert plan(pt) is first_plan
+    assert again.collected[apt.jg][1].equals(first.collected[apt.jg][1])
     other = collect_question(db, pt, [apt.jg], T1, None)
-    assert [p for p, _ in pt.prepared.values()] == [plan]
+    other_plan = plan(pt)
+    assert other_plan is not first_plan
     assert (first.n1, first.n2, other.n1, other.n2) == (3, 1, 3, 1)
+    collect_question(db, pt, [apt.jg], T1, T2)
+    assert plan(pt) not in (first_plan, other_plan)
 
     # Drop the 2016-01-22 game (2015-16, two scoring rows).
     db.add("game", toy_db.df("game").filter("day != 22"), toy_db.pk("game"))
     added = compute_pt(db, toy_query)
+    assert added.prepared is None
     sides = collect_question(db, added, [apt.jg], T1, T2)
     assert (sides.n1, sides.n2) == (2, 1)
     assert len(sides.collected[apt.jg][1]) == len(first.collected[apt.jg][1]) - 2
-    ((added_plan, _),) = added.prepared.values()
-    assert added_plan is not plan
+    added_plan = plan(added)
 
     added.df.unpersist()
     recomputed = compute_pt(db, toy_query)
-    assert recomputed is not added
+    assert recomputed is not added and recomputed.prepared is None
     again = collect_question(db, recomputed, [apt.jg], T1, T2)
-    ((recomputed_plan, _),) = recomputed.prepared.values()
-    assert recomputed_plan is not added_plan
+    assert plan(recomputed) is not added_plan
     assert (again.n1, again.n2) == (2, 1)
+
+
+def test_question_values_are_cast_to_their_group_column_types(spark):
+    """A question value typed unlike its group column (an int or a date
+    given as a string) selects the rows Spark's comparison casts it to."""
+    from repro.core.join_graph import empty_join_graph
+    from repro.core.metrics import collect_question
+    from repro.substrate.catalog import Database
+    from repro.substrate.provenance import compute_pt
+    from repro.substrate.query import AggQuery
+
+    db = Database(spark)
+    db.add(
+        "ev",
+        spark.createDataFrame(
+            [
+                (i, 2014 + i % 3, dt.date(2015, 1, 1 + i % 2), i)
+                for i in range(1, 13)
+            ],
+            "id int, y int, d date, v int",
+        ),
+        ("id",),
+    )
+    db.cache_all()
+    jg = empty_join_graph()
+    for col, typed, mistyped, sizes in [
+        ("y", (2015, 2016), ("2015", "2016"), (4, 4)),
+        ("y", (2015, None), ("2015", None), (4, 8)),
+        ("d", (dt.date(2015, 1, 2), None), ("2015-01-02", None), (6, 6)),
+    ]:
+        query = AggQuery(tables=(("ev", "e"),), group_by=((f"e.{col}", col),))
+        pt = compute_pt(db, query)
+
+        def ask(t1, t2):
+            return collect_question(
+                db, pt, [jg], {col: t1}, None if t2 is None else {col: t2}
+            )
+
+        want, got = ask(*typed), ask(*mistyped)
+        assert (got.n1, got.n2) == (want.n1, want.n2) == sizes
+        assert got.collected[jg][1].equals(want.collected[jg][1])
