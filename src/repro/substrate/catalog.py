@@ -30,7 +30,13 @@ class Table:
 
 @dataclass
 class Database:
-    """A set of relations ``rels(D)`` with PKs and cached statistics."""
+    """A set of relations ``rels(D)`` with PKs and cached statistics.
+
+    A declared primary key is trusted to be unique, as Postgres enforces it:
+    the distinct count of any attribute set that contains it is the table's
+    row count, and no Spark job computes it (both data generators' keys are
+    checked by ``test_primary_keys_unique``). Replacing a table with
+    :meth:`add` drops its cached statistics and every cached PT."""
 
     spark: SparkSession
     tables: dict[str, Table] = field(default_factory=dict)
@@ -44,6 +50,9 @@ class Database:
         if missing:
             raise ValueError(f"PK attrs {missing} not in {name} columns {df.columns}")
         self.tables[name] = Table(name, df, pk)
+        self._n_rows.pop(name, None)
+        for key in [k for k in self._n_distinct if k[0] == name]:
+            del self._n_distinct[key]
         self.pts.clear()
 
     def df(self, name: str) -> DataFrame:
@@ -65,10 +74,11 @@ class Database:
 
     def cache_all(self) -> None:
         """Cache and materialise every table (benchmarks call this once so
-        generator cost is not billed to the algorithm under test)."""
+        generator cost is not billed to the algorithm under test), keeping
+        each table's row count as its ``n_rows`` statistic."""
         for t in self.tables.values():
             t.df.cache()
-            t.df.count()
+            self._n_rows[t.name] = t.df.count()
 
     # ---- statistics used by the join-graph cost estimator -------------
     def n_rows(self, name: str) -> int:
@@ -77,7 +87,11 @@ class Database:
         return self._n_rows[name]
 
     def n_distinct(self, name: str, attrs: tuple[str, ...]) -> int:
-        """Distinct count of an attribute combination, cached."""
+        """Distinct count of an attribute combination, cached; the row
+        count when the combination contains the table's primary key."""
+        pk = self.pk(name)
+        if pk and set(pk) <= set(attrs):
+            return max(1, self.n_rows(name))
         key = (name, tuple(sorted(attrs)))
         if key not in self._n_distinct:
             self._n_distinct[key] = (
