@@ -5,7 +5,8 @@ realises it as a chain of Catalyst equi-joins:
 
   * each context node's relation is loaded with columns renamed to a unique
     prefix (``team_``, ``player_salary_``, ``lineup_player2_`` …, matching
-    the paper's alias disambiguation);
+    the paper's alias disambiguation), and carries a broadcast hint when
+    the catalog's statistics put its size under ``BROADCAST_MAX_BYTES``;
   * an edge whose far endpoint is not yet part of the plan becomes a join;
     an edge between two already-joined nodes (a cycle / parallel edge)
     becomes a filter;
@@ -32,6 +33,14 @@ from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable, prov_col
 from repro.substrate.query import split_ref
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
+
+# A context relation whose size (``Database.size_bytes``: held row count ×
+# default row size, no Spark job) is under this bound joins by broadcast.
+# It is the default of Spark's own rule, spark.sql.autoBroadcastJoinThreshold
+# (10 MB). A hint applies whatever that setting is, so sessions that switch
+# Spark's rule off (threshold -1) still broadcast these relations, and no
+# shuffle stage runs for their side of the join.
+BROADCAST_MAX_BYTES = 10 * 1024 * 1024
 
 
 @dataclass
@@ -139,6 +148,9 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
             right = right.select(
                 *[F.col(a).alias(f"{pfx}_{a}") for a in right.columns]
             )
+            size = db.size_bytes(rel)
+            if size is not None and size < BROADCAST_MAX_BYTES:
+                right = F.broadcast(right)
             context_cols.extend(f"{pfx}_{a}" for a in db.attrs(rel))
             col_attr.update({f"{pfx}_{a}": a for a in db.attrs(rel)})
             # The new node's join keys equal the other side — drop them.

@@ -17,10 +17,20 @@ edges, so trying all label-preserving node permutations is cheap).
 estimated-cost cap. The paper asks PostgreSQL for the cost estimate; we use
 the textbook |R⋈S| = |R||S|/max(d_R, d_S) estimate over cached distinct
 counts, which serves the same pruning role (DESIGN.md substitution #3).
+
+Like Postgres' estimate, the cap is first decided from the statistics the
+catalog already holds. Each distinct count lies in bounds the catalog knows
+without a Spark job (``Database.distinct_bounds``), so the estimate lies in
+[E_min, E_max], computed in ``estimate_apt_rows``' own operation order:
+float multiplication and division by a positive number are monotone, so a
+larger divisor never gives a larger result. E_max ≤ λ_qCost keeps the graph
+and E_min > λ_qCost prunes it; only a graph the bounds leave undecided
+computes its exact distinct counts, one aggregation per table.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from repro.substrate.catalog import Database
@@ -170,6 +180,36 @@ def extend_jg(jg: JoinGraph, sg: SchemaGraph, query: AggQuery) -> list[JoinGraph
     return out
 
 
+def _sides(jg: JoinGraph) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """(relation, join attributes) of each edge side that has attributes."""
+    for e in jg.edges:
+        yield from (
+            (rel, attrs)
+            for rel, attrs in (
+                (e.rel1, e.cond.left_attrs()), (e.rel2, e.cond.right_attrs())
+            )
+            if attrs
+        )
+
+
+def _estimate(
+    jg: JoinGraph,
+    pt_rows: int,
+    rows: Callable[[str], int],
+    distinct: Callable[[str, tuple[str, ...]], int],
+) -> float:
+    est = float(pt_rows)
+    for _, rel in jg.context_nodes():
+        est *= rows(rel)
+    for e in jg.edges:
+        la = e.cond.left_attrs()
+        ra = e.cond.right_attrs()
+        d_l = distinct(e.rel1, la) if la else 1
+        d_r = distinct(e.rel2, ra) if ra else 1
+        est /= max(d_l, d_r, 1)
+    return est
+
+
 def estimate_apt_rows(jg: JoinGraph, db: Database, pt_rows: int) -> float:
     """System-R style cardinality estimate of |APT(Q, D, Ω)|.
 
@@ -177,22 +217,34 @@ def estimate_apt_rows(jg: JoinGraph, db: Database, pt_rows: int) -> float:
     distinct counts of the join attrs taken from the bound base relation
     (the PT side approximated by its accessed relation's statistics).
     """
-    est = float(pt_rows)
-    for _, rel in jg.context_nodes():
-        est *= db.n_rows(rel)
-    for e in jg.edges:
-        la = e.cond.left_attrs()
-        ra = e.cond.right_attrs()
-        d_l = db.n_distinct(e.rel1, la) if la else 1
-        d_r = db.n_distinct(e.rel2, ra) if ra else 1
-        est /= max(d_l, d_r, 1)
-    return est
+    return _estimate(jg, pt_rows, db.n_rows, db.n_distinct)
+
+
+def estimate_bounds(
+    jg: JoinGraph, db: Database, pt_rows: int
+) -> tuple[float, float] | None:
+    """(E_min, E_max) around ``estimate_apt_rows`` from the statistics the
+    catalog holds, without a Spark job; None when a row count is not held.
+    Both are computed in the estimate's operation order with each distinct
+    count at its high (E_min) or low (E_max) bound."""
+    rows = {rel: db.known_rows(rel) for _, rel in jg.context_nodes()}
+    bounds = {side: db.distinct_bounds(*side) for side in _sides(jg)}
+    if None in rows.values() or None in bounds.values():
+        return None
+    return (
+        _estimate(jg, pt_rows, rows.__getitem__, lambda *s: bounds[s][1]),
+        _estimate(jg, pt_rows, rows.__getitem__, lambda *s: bounds[s][0]),
+    )
 
 
 def is_valid(
     jg: JoinGraph, db: Database, pt_rows: int, q_cost: float
 ) -> bool:
-    """isValid from Algorithm 2: PK-connectivity + estimated-cost cap."""
+    """isValid from Algorithm 2: PK-connectivity + estimated-cost cap.
+
+    The cap is decided from ``estimate_bounds`` when they put the estimate
+    on one side of ``q_cost``; otherwise each table's missing distinct
+    counts are computed in one aggregation and the exact estimate decides."""
     for nid, rel in jg.context_nodes():
         joined_attrs: set[str] = set()
         for e in jg.incident(nid):
@@ -202,6 +254,17 @@ def is_valid(
                 joined_attrs.update(e.cond.right_attrs())
         if not set(db.pk(rel)).issubset(joined_attrs):
             return False
+    bounds = estimate_bounds(jg, db, pt_rows)
+    if bounds is not None:
+        if bounds[1] <= q_cost:
+            return True
+        if bounds[0] > q_cost:
+            return False
+    by_table: dict[str, list[tuple[str, ...]]] = {}
+    for rel, attrs in _sides(jg):
+        by_table.setdefault(rel, []).append(attrs)
+    for rel, sets in by_table.items():
+        db.n_distinct(rel, sets[0], also=sets[1:])
     return estimate_apt_rows(jg, db, pt_rows) <= q_cost
 
 

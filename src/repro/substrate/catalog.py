@@ -6,9 +6,16 @@ it owns the base relations (as Spark DataFrames), knows their primary keys
 them as temp views so queries run through Catalyst via ``spark.sql``, and
 caches the cardinality statistics (row counts / distinct counts) that our
 analytic cost estimator uses in place of Postgres' ``EXPLAIN`` cost.
+
+Like Postgres' planner, a caller can ask what the held statistics say
+without running a query: ``known_rows``, ``distinct_bounds`` and
+``size_bytes`` never start a Spark job. ``n_rows`` and ``n_distinct`` compute
+what is missing; ``n_distinct`` counts every missing attribute set of one
+table that its caller names in one aggregation.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
@@ -81,22 +88,71 @@ class Database:
             self._n_rows[t.name] = t.df.count()
 
     # ---- statistics used by the join-graph cost estimator -------------
+    def _keyed(self, name: str, attrs: tuple[str, ...]) -> bool:
+        pk = self.pk(name)
+        return bool(pk) and set(pk) <= set(attrs)
+
+    def known_rows(self, name: str) -> int | None:
+        """The table's row count if it is held, else None (no Spark job)."""
+        return self._n_rows.get(name)
+
+    def distinct_bounds(
+        self, name: str, attrs: tuple[str, ...]
+    ) -> tuple[int, int] | None:
+        """[low, high] bounds on ``n_distinct(name, attrs)`` from the held
+        statistics, without a Spark job: exact for a cached count or an
+        attribute set that contains the PK, else [1, row count]. None when
+        the row count is not held."""
+        d = self._n_distinct.get((name, tuple(sorted(attrs))))
+        if d is not None:
+            return max(1, d), max(1, d)
+        n = self.known_rows(name)
+        if n is None:
+            return None
+        return (max(1, n),) * 2 if self._keyed(name, attrs) else (1, max(1, n))
+
+    def size_bytes(self, name: str) -> int | None:
+        """Estimated size of the table: its held row count times its schema's
+        default row size (Spark's per-type estimate, e.g. 4 bytes for an
+        int and 20 for a string). None when the row count is not held; no
+        Spark job either way."""
+        n = self.known_rows(name)
+        return None if n is None else n * self.df(name)._jdf.schema().defaultSize()
+
     def n_rows(self, name: str) -> int:
         if name not in self._n_rows:
             self._n_rows[name] = self.df(name).count()
         return self._n_rows[name]
 
-    def n_distinct(self, name: str, attrs: tuple[str, ...]) -> int:
+    def n_distinct(
+        self,
+        name: str,
+        attrs: tuple[str, ...],
+        also: Iterable[tuple[str, ...]] = (),
+    ) -> int:
         """Distinct count of an attribute combination, cached; the row
-        count when the combination contains the table's primary key."""
-        pk = self.pk(name)
-        if pk and set(pk) <= set(attrs):
+        count when the combination contains the table's primary key.
+
+        A missing count is computed in one aggregation together with the
+        missing counts of ``also``, further attribute sets of the same
+        table. Each set is counted as ``countDistinct`` of a struct of its
+        attributes: a struct is never NULL and compares NULL fields as
+        equal, so a NULL counts as a value, as in
+        ``select(*attrs).distinct().count()`` (``countDistinct(a, b)``
+        would skip rows where a or b is NULL)."""
+        if self._keyed(name, attrs):
             return max(1, self.n_rows(name))
         key = (name, tuple(sorted(attrs)))
         if key not in self._n_distinct:
-            self._n_distinct[key] = (
-                self.df(name).select(*key[1]).distinct().count()
-            )
+            todo = list(dict.fromkeys(
+                k
+                for k in [key] + [(name, tuple(sorted(a))) for a in also]
+                if k not in self._n_distinct and not self._keyed(name, k[1])
+            ))
+            row = self.df(name).agg(
+                *[F.countDistinct(F.struct(*k[1])) for k in todo]
+            ).first()
+            self._n_distinct.update(zip(todo, row))
         return max(1, self._n_distinct[key])
 
     def to_pandas(self) -> dict[str, "object"]:

@@ -164,3 +164,19 @@ def job_counter(spark):
         return max(tracker.getJobIdsForGroup(None) or [-1])
 
     return last_job_id
+
+
+@pytest.fixture
+def fresh_db(spark):
+    """Builds a new Database over another one's cached tables, with
+    ``cache_all`` run: it holds their row counts, but no distinct count
+    and no provenance table, as a cold ``explain`` finds them."""
+
+    def copy(db: Database) -> Database:
+        out = Database(spark)
+        for name in db.names():
+            out.add(name, db.df(name), db.pk(name))
+        out.cache_all()
+        return out
+
+    return copy

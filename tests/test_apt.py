@@ -158,3 +158,55 @@ def test_pt_id_fanout_preserved(toy_db, toy_pt, omega1):
     ids = {r[PT_ID] for r in apt.df.select(PT_ID).collect()}
     pt_ids = {r[PT_ID] for r in toy_pt.df.select(PT_ID).collect()}
     assert ids.issubset(pt_ids)
+
+
+def _planned_joins(df) -> list[str]:
+    """The join operators Spark's planner chose for ``df``, before adaptive
+    execution; a cached relation (PT) is a leaf, its own plan not walked."""
+
+    def walk(node) -> list[str]:
+        kids = node.children()
+        own = [node.nodeName()] if node.nodeName().endswith("Join") else []
+        return own + [j for i in range(kids.size()) for j in walk(kids.apply(i))]
+
+    return walk(df._jdf.queryExecution().sparkPlan())
+
+
+def test_small_context_relation_joins_by_broadcast(
+    mimic_db, fresh_db, monkeypatch
+):
+    """The collect plan of MIMIC's Ω_1 (PT — patients) broadcasts patients,
+    whose size the catalog puts under ``BROADCAST_MAX_BYTES``, although the
+    session switches Spark's own broadcast rule off. With the bound at the
+    relation's size, the join is a sort-merge join, and both plans collect
+    the same rows."""
+    import repro.core.apt as apt_mod
+    from repro.core.join_graph import enumerate_join_graphs
+    from repro.core.metrics import _prepared
+    from repro.data.mimic import mimic_schema_graph
+    from repro.substrate.provenance import compute_pt
+    from repro.workload import UQ_MIMIC4 as uq
+
+    db = fresh_db(mimic_db)
+    pt = compute_pt(db, uq.query)
+    (omega1,) = [
+        jg for jg in enumerate_join_graphs(mimic_schema_graph(), uq.query, 1)
+        if jg.structure() == "PT - patients"
+    ]
+
+    def collect_plan():
+        pt.prepared = None
+        union, _ = _prepared(db, pt, (omega1,), uq.t1, uq.t2, 0)
+        rows = union.toPandas()
+        return _planned_joins(union), rows.sort_values(list(rows.columns))
+
+    size = db.size_bytes("patients")
+    assert 0 < size < apt_mod.BROADCAST_MAX_BYTES
+    joins, broadcast_rows = collect_plan()
+    assert joins == ["BroadcastHashJoin"]
+    monkeypatch.setattr(apt_mod, "BROADCAST_MAX_BYTES", size)
+    joins, shuffled_rows = collect_plan()
+    assert joins == ["SortMergeJoin"]
+    assert broadcast_rows.reset_index(drop=True).equals(
+        shuffled_rows.reset_index(drop=True)
+    )

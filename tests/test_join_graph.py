@@ -1,4 +1,7 @@
-"""Join graphs (Def. 3) and Algorithm 2 enumeration, without Spark."""
+"""Join graphs (Def. 3), Algorithm 2 enumeration and isValid's cost cap."""
+import math
+
+import numpy as np
 import pytest
 
 from repro.substrate.query import AggQuery
@@ -8,7 +11,10 @@ from repro.core.join_graph import (
     JoinGraph,
     empty_join_graph,
     enumerate_join_graphs,
+    estimate_apt_rows,
+    estimate_bounds,
     extend_jg,
+    is_valid,
 )
 from repro.core.schema_graph import SchemaGraph, fk_cond
 
@@ -124,3 +130,52 @@ def test_parallel_edges_allowed():
         if j.n_edges == 2 and len(j.context_nodes()) == 1
     ]
     assert two_edge_single_node, "parallel edges between PT and one node"
+
+
+@pytest.mark.parametrize("dataset", ["mimic", "nba"])
+def test_is_valid_equals_the_exact_estimate(
+    request, dataset, fresh_db, job_counter
+):
+    """isValid's cost cap decided from the catalog's bounds equals the
+    exact estimate's decision for every enumerated graph up to 2 edges, at
+    every graph's own exact estimate, at its bounds E_min and E_max, at the
+    float neighbours of these three, and at the benchmarks' λ_qCost values.
+    Where the bounds decide, no Spark job runs; where they do not, the
+    exact counts are computed."""
+    from repro.substrate.provenance import compute_pt
+    from repro.workload import UQ_1, UQ_MIMIC4
+
+    if dataset == "mimic":
+        from repro.data.mimic import mimic_schema_graph as schema_graph
+
+        uq = UQ_MIMIC4
+    else:
+        from repro.data.nba import nba_schema_graph as schema_graph
+
+        uq = UQ_1
+    src = request.getfixturevalue(f"{dataset}_db")
+    pt_rows = compute_pt(src, uq.query).n_rows
+    exact, bounded, undecided_db = fresh_db(src), fresh_db(src), fresh_db(src)
+    # PK-connected graphs: the cap alone decides them.
+    jgs = [
+        jg for jg in enumerate_join_graphs(schema_graph(), uq.query, 2)
+        if is_valid(jg, bounded, pt_rows, math.inf)
+    ]
+    decided, undecided = [], []
+    for jg in jgs:
+        est = estimate_apt_rows(jg, exact, pt_rows)
+        lo, hi = estimate_bounds(jg, bounded, pt_rows)
+        assert lo <= est <= hi
+        qs = {0.0, 5e5, 2e6, math.inf}
+        for v in (est, lo, hi):
+            qs |= {v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)}
+        for q in qs:
+            (decided if hi <= q or lo > q else undecided).append((jg, q, est))
+    assert decided and undecided
+    before = job_counter()
+    for jg, q, est in decided:
+        assert is_valid(jg, bounded, pt_rows, q) == (est <= q), (jg, q)
+    assert job_counter() == before
+    for jg, q, est in undecided:
+        assert is_valid(jg, undecided_db, pt_rows, q) == (est <= q), (jg, q)
+    assert job_counter() > before
