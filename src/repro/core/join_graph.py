@@ -183,13 +183,10 @@ def extend_jg(jg: JoinGraph, sg: SchemaGraph, query: AggQuery) -> list[JoinGraph
 def _sides(jg: JoinGraph) -> Iterator[tuple[str, tuple[str, ...]]]:
     """(relation, join attributes) of each edge side that has attributes."""
     for e in jg.edges:
-        yield from (
-            (rel, attrs)
-            for rel, attrs in (
-                (e.rel1, e.cond.left_attrs()), (e.rel2, e.cond.right_attrs())
-            )
-            if attrs
-        )
+        if la := e.cond.left_attrs():
+            yield e.rel1, la
+        if ra := e.cond.right_attrs():
+            yield e.rel2, ra
 
 
 def _estimate(
