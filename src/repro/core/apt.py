@@ -3,14 +3,17 @@
 ``materialize_apt`` walks a join graph breadth-first from the PT node and
 realises it as a chain of Catalyst equi-joins:
 
-  * each context node's relation is loaded with columns renamed to a unique
-    prefix (``team_``, ``player_salary_``, ``lineup_player2_`` …, matching
-    the paper's alias disambiguation), and carries a broadcast hint when
-    the catalog's statistics put its size under ``BROADCAST_MAX_BYTES``;
+  * each context node's relation is loaded with its columns renamed to a
+    unique prefix by one ``toDF`` (``team_``, ``player_salary_``,
+    ``lineup_player2_`` …, matching the paper's alias disambiguation), and
+    carries a broadcast hint when the catalog's statistics put its size
+    under ``BROADCAST_MAX_BYTES``;
   * an edge whose far endpoint is not yet part of the plan becomes a join;
     an edge between two already-joined nodes (a cycle / parallel edge)
-    becomes a filter;
-  * constant constraints inside join conditions become filters;
+    becomes a filter. Its equi-join pairs are one SQL expression over
+    backtick-quoted column names;
+  * constant constraints inside join conditions are compared with their
+    ``F.lit`` values in the same condition;
   * after all joins, the context-side join-key columns are dropped — they
     duplicate the columns they were equated with ("duplicate (renamed)
     columns are removed", Def. 4).
@@ -31,7 +34,7 @@ from pyspark.sql import functions as F
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable, prov_col
-from repro.substrate.query import split_ref
+from repro.substrate.query import quote, split_ref
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 
 # A context relation whose size (``Database.size_bytes``: held row count ×
@@ -54,7 +57,8 @@ class APT:
     context_cols: tuple[str, ...]   # surviving context attribute columns
     group_prov_cols: tuple[str, ...] = ()  # prov_* twins of group-by attrs
     group_attr_names: tuple[str, ...] = ()  # base attr names used in grouping
-    col_attr: dict[str, str] = field(default_factory=dict)  # context col → base attr
+    # context col → (relation, base attr)
+    col_source: dict[str, tuple[str, str]] = field(default_factory=dict)
 
     @property
     def pattern_cols(self) -> tuple[str, ...]:
@@ -65,7 +69,7 @@ class APT:
         banned = set(self.group_cols) | set(self.group_prov_cols)
         banned |= {
             c
-            for c, attr in self.col_attr.items()
+            for c, (_, attr) in self.col_source.items()
             if attr in set(self.group_attr_names)
         }
         return tuple(
@@ -95,16 +99,20 @@ def _side_col(
 
 
 def _edge_cond(e: JGEdge, prefixes: dict[int, str]) -> Column:
-    """An edge's condition over APT columns: its equi-join pairs and its
-    constant constraints."""
-    conds = [
-        F.col(_side_col(e.n1, e.rel1, la, prefixes))
-        == F.col(_side_col(e.n2, e.rel2, ra, prefixes))
+    """An edge's condition over APT columns: its equi-join pairs as one SQL
+    expression over backtick-quoted names, AND each constant constraint
+    compared with its ``F.lit`` value."""
+    pairs = " AND ".join(
+        f"{quote(_side_col(e.n1, e.rel1, la, prefixes))} = "
+        f"{quote(_side_col(e.n2, e.rel2, ra, prefixes))}"
         for la, ra in e.cond.pairs
-    ]
+    )
+    conds = [F.expr(pairs)] if pairs else []
     for side, attr, value in e.cond.consts:
         nid, rel = (e.n1, e.rel1) if side == "l" else (e.n2, e.rel2)
-        conds.append(F.col(_side_col(nid, rel, attr, prefixes)) == F.lit(value))
+        conds.append(
+            F.col(quote(_side_col(nid, rel, attr, prefixes))) == F.lit(value)
+        )
     if not conds:
         raise ValueError("edge with empty join condition")
     return reduce(operator.and_, conds)
@@ -116,7 +124,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
     df = pt.df
     joined = {PT_NODE}
     context_cols: list[str] = []
-    col_attr: dict[str, str] = {}
+    col_source: dict[str, tuple[str, str]] = {}
     dropped: list[str] = []
     edges = deque(jg.edges)
     stall = 0
@@ -144,15 +152,12 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
             rel = jg.node_labels[new_nid]
             assert rel is not None
             pfx = prefixes[new_nid]
-            right = db.df(rel)
-            right = right.select(
-                *[F.col(a).alias(f"{pfx}_{a}") for a in right.columns]
-            )
+            right = db.df(rel).toDF(*[f"{pfx}_{a}" for a in db.attrs(rel)])
             size = db.size_bytes(rel)
             if size is not None and size < BROADCAST_MAX_BYTES:
                 right = F.broadcast(right)
             context_cols.extend(f"{pfx}_{a}" for a in db.attrs(rel))
-            col_attr.update({f"{pfx}_{a}": a for a in db.attrs(rel)})
+            col_source.update({f"{pfx}_{a}": (rel, a) for a in db.attrs(rel)})
             # The new node's join keys equal the other side — drop them.
             dropped.extend(
                 _side_col(e.n1, e.rel1, la, prefixes)
@@ -165,7 +170,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
         else:
             df = df.filter(cond)
     keep_context = [c for c in dict.fromkeys(context_cols) if c not in set(dropped)]
-    df = df.drop(*[c for c in set(dropped) if c in df.columns])
+    df = df.drop(*dict.fromkeys(dropped))
     return APT(
         jg=jg,
         df=df,
@@ -176,5 +181,5 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
         group_attr_names=tuple(
             split_ref(ref)[1] for ref, _ in pt.query.group_by
         ),
-        col_attr=col_attr,
+        col_source=col_source,
     )

@@ -1,13 +1,17 @@
 """End-to-end CaJaDE (§4): enumerate join graphs, mine each, rank globally.
 
-``explain`` is the system entry point for a user question: it computes the
-provenance table (memoised per Database), enumerates join graphs up to
-λ_#edges (Algorithm 2), filters them with ``isValid`` (PK-connectivity +
-estimated APT cost), collects every surviving graph's APT projection over
-the question's two sides in one Spark action of a plan memoised on PT
-(raising ``ValueError`` when a question tuple has no provenance), runs
-MineAPT per graph, and returns the union of per-graph top-k patterns ranked
-by F-score (the paper's global ranking, §2.5/§4).
+``explain`` is the system entry point for a user question: it builds the
+provenance table (memoised per Database, cached, no Spark action),
+enumerates join graphs up to λ_#edges (Algorithm 2), filters them with
+``isValid`` (PK-connectivity + estimated APT cost, with |PT| bounded from
+held row counts and counted only for a graph the bounds leave undecided),
+collects every surviving graph's APT projection over the question's two
+sides in one Spark action of a plan memoised on PT (raising ``ValueError``
+when a question tuple has no provenance), runs MineAPT per graph, and
+returns the union of per-graph top-k patterns ranked by F-score (the
+paper's global ranking, §2.5/§4). A question's first call on a fresh
+Database whose bounds decide every graph (MIMIC Q4) runs one Spark action
+in all: that collect, which also materialises PT's cache.
 """
 from __future__ import annotations
 
@@ -63,7 +67,7 @@ def explain(
         valid = [
             (i, jg)
             for i, jg in enumerate(jgs)
-            if is_valid(jg, db, pt.n_rows, params.q_cost)
+            if is_valid(jg, db, pt, params.q_cost)
         ]
     with timer.step("Materialize APTs"):
         sides = collect_question(

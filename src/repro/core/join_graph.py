@@ -19,13 +19,17 @@ the textbook |R⋈S| = |R||S|/max(d_R, d_S) estimate over cached distinct
 counts, which serves the same pruning role (DESIGN.md substitution #3).
 
 Like Postgres' estimate, the cap is first decided from the statistics the
-catalog already holds. Each distinct count lies in bounds the catalog knows
-without a Spark job (``Database.distinct_bounds``), so the estimate lies in
-[E_min, E_max], computed in ``estimate_apt_rows``' own operation order:
-float multiplication and division by a positive number are monotone, so a
-larger divisor never gives a larger result. E_max ≤ λ_qCost keeps the graph
-and E_min > λ_qCost prunes it; only a graph the bounds leave undecided
-computes its exact distinct counts, one aggregation per table.
+catalog already holds, without running the provenance query. Each distinct
+count lies in bounds the catalog knows without a Spark job
+(``Database.distinct_bounds``), and |PT| lies in [0, Π row counts of the
+query's tables] until PT has been counted (``pt_row_bounds``). So the
+estimate lies in [E_min, E_max], computed in ``estimate_apt_rows``' own
+operation order: float multiplication and division by a positive number
+are monotone, so a larger |PT| never gives a smaller result and a larger
+divisor never a larger one. E_max ≤ λ_qCost keeps the graph and E_min >
+λ_qCost prunes it. Only a graph the bounds leave undecided counts PT (once
+per PT), and only one they still leave undecided computes its exact
+distinct counts, one aggregation per table.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from repro.substrate.catalog import Database
+from repro.substrate.provenance import ProvenanceTable
 from repro.substrate.query import AggQuery
 from repro.core.schema_graph import JoinCond, SchemaGraph
 
@@ -217,31 +222,64 @@ def estimate_apt_rows(jg: JoinGraph, db: Database, pt_rows: int) -> float:
     return _estimate(jg, pt_rows, db.n_rows, db.n_distinct)
 
 
+def pt_row_bounds(db: Database, pt: ProvenanceTable) -> tuple[int, int] | None:
+    """[low, high] bounds on |PT| without a Spark job: the count once it is
+    held (``pt.known_rows``), else [0, Π row counts of the query's tables],
+    as PT is a filtered join of them. None when a row count is not held."""
+    if pt.known_rows is not None:
+        return pt.known_rows, pt.known_rows
+    high = 1
+    for rel, _ in pt.query.tables:
+        n = db.known_rows(rel)
+        if n is None:
+            return None
+        high *= n
+    return 0, high
+
+
 def estimate_bounds(
-    jg: JoinGraph, db: Database, pt_rows: int
+    jg: JoinGraph, db: Database, pt_rows: tuple[int, int]
 ) -> tuple[float, float] | None:
-    """(E_min, E_max) around ``estimate_apt_rows`` from the statistics the
-    catalog holds, without a Spark job; None when a row count is not held.
-    Both are computed in the estimate's operation order with each distinct
-    count at its high (E_min) or low (E_max) bound."""
+    """(E_min, E_max) around ``estimate_apt_rows`` for |PT| within
+    ``pt_rows`` ([low, high]), from the statistics the catalog holds,
+    without a Spark job; None when a row count is not held. Both are
+    computed in the estimate's operation order, E_min with |PT| at its low
+    bound and each distinct count at its high bound, E_max the reverse."""
     rows = {rel: db.known_rows(rel) for _, rel in jg.context_nodes()}
     bounds = {side: db.distinct_bounds(*side) for side in _sides(jg)}
     if None in rows.values() or None in bounds.values():
         return None
     return (
-        _estimate(jg, pt_rows, rows.__getitem__, lambda *s: bounds[s][1]),
-        _estimate(jg, pt_rows, rows.__getitem__, lambda *s: bounds[s][0]),
+        _estimate(jg, pt_rows[0], rows.__getitem__, lambda *s: bounds[s][1]),
+        _estimate(jg, pt_rows[1], rows.__getitem__, lambda *s: bounds[s][0]),
     )
 
 
+def _cap(
+    jg: JoinGraph, db: Database, pt_rows: tuple[int, int] | None, q_cost: float
+) -> bool | None:
+    """The cost cap's decision when [E_min, E_max] lies on one side of
+    ``q_cost``, else None."""
+    bounds = None if pt_rows is None else estimate_bounds(jg, db, pt_rows)
+    if bounds is not None:
+        if bounds[1] <= q_cost:
+            return True
+        if bounds[0] > q_cost:
+            return False
+    return None
+
+
 def is_valid(
-    jg: JoinGraph, db: Database, pt_rows: int, q_cost: float
+    jg: JoinGraph, db: Database, pt: ProvenanceTable, q_cost: float
 ) -> bool:
     """isValid from Algorithm 2: PK-connectivity + estimated-cost cap.
 
-    The cap is decided from ``estimate_bounds`` when they put the estimate
-    on one side of ``q_cost``; otherwise each table's missing distinct
-    counts are computed in one aggregation and the exact estimate decides."""
+    The cap is decided from ``estimate_bounds`` with |PT| bounded by
+    ``pt_row_bounds`` when they put the estimate on one side of ``q_cost``.
+    Otherwise PT is counted (once: ``pt.n_rows`` holds the count) and the
+    bounds are tried again; if they still straddle ``q_cost``, each table's
+    missing distinct counts are computed in one aggregation and the exact
+    estimate decides."""
     for nid, rel in jg.context_nodes():
         joined_attrs: set[str] = set()
         for e in jg.incident(nid):
@@ -251,18 +289,17 @@ def is_valid(
                 joined_attrs.update(e.cond.right_attrs())
         if not set(db.pk(rel)).issubset(joined_attrs):
             return False
-    bounds = estimate_bounds(jg, db, pt_rows)
-    if bounds is not None:
-        if bounds[1] <= q_cost:
-            return True
-        if bounds[0] > q_cost:
-            return False
+    decided = _cap(jg, db, pt_row_bounds(db, pt), q_cost)
+    if decided is None and pt.known_rows is None:
+        decided = _cap(jg, db, (pt.n_rows, pt.n_rows), q_cost)
+    if decided is not None:
+        return decided
     by_table: dict[str, list[tuple[str, ...]]] = {}
     for rel, attrs in _sides(jg):
         by_table.setdefault(rel, []).append(attrs)
     for rel, sets in by_table.items():
         db.n_distinct(rel, sets[0], also=sets[1:])
-    return estimate_apt_rows(jg, db, pt_rows) <= q_cost
+    return estimate_apt_rows(jg, db, pt.n_rows) <= q_cost
 
 
 def enumerate_join_graphs(

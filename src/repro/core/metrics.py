@@ -13,7 +13,10 @@ the same sample is drawn across batches.
 
 ``collect_question`` splits PT into a question's two sides and collects,
 with one Arrow action, PT's rows on them and each join graph's APT
-projection built on those rows. Its Spark plan is memoised on the
+projection built on those rows. On a question's first call that action
+also materialises PT's cache (``compute_pt`` runs none). Its Spark plan
+is built from SQL text in a few coarse DataFrame operations (one
+projection per union branch, positional unions) and memoised on the
 ``ProvenanceTable``, so a repeated question re-runs the same DataFrame and
 Spark skips the stages that already ran. The driver gives each collected
 row its side and λ_F1-samp flag by ``__pt_id`` from PT's rows, counts the
@@ -38,9 +41,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import LongType
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import PT_ID, ProvenanceTable
+from repro.substrate.query import quote
 from repro.core.apt import APT, materialize_apt
 from repro.core.join_graph import JoinGraph
 from repro.core.pattern import Pattern, Predicate
@@ -99,7 +104,7 @@ class Support:
 def _group_cond(group_cols: tuple[str, ...], t: dict[str, object]) -> Column:
     cond = F.lit(True)
     for k in group_cols:
-        cond = cond & F.col(k).eqNullSafe(F.lit(t[k]))
+        cond = cond & F.col(quote(k)).eqNullSafe(F.lit(t[k]))
     return cond
 
 
@@ -142,10 +147,11 @@ def pandas_side(
     return np.where(c1, 1, np.where(c2, 2, 0))
 
 
-def _bucket(seed: int) -> Column:
-    """A PT tuple's λ_F1-samp draw in [0, 10^4): a hash of its ``__pt_id``,
-    so every batch, join graph and path draws the same sample."""
-    return F.pmod(F.xxhash64(F.col(PT_ID), F.lit(seed)), F.lit(10000))
+def _bucket(seed: int) -> str:
+    """A PT tuple's λ_F1-samp draw in [0, 10^4), as SQL: a hash of its
+    ``__pt_id``, so every batch, join graph and path draws the same
+    sample."""
+    return f"pmod(xxhash64({quote(PT_ID)}, {int(seed)}), 10000)"
 
 
 def _f1_threshold(rate: float | None) -> int | None:
@@ -156,10 +162,10 @@ def _f1_threshold(rate: float | None) -> int | None:
     return int(rate * 10000)
 
 
-def _f1_flag(rate: float | None, seed: int) -> Column:
-    """λ_F1-samp membership of a PT tuple (see :func:`_bucket`)."""
+def _f1_flag(rate: float | None, seed: int) -> str:
+    """λ_F1-samp membership of a PT tuple, as SQL (see :func:`_bucket`)."""
     threshold = _f1_threshold(rate)
-    return F.lit(True) if threshold is None else _bucket(seed) < threshold
+    return "true" if threshold is None else f"{_bucket(seed)} < {threshold}"
 
 
 def _with_side(
@@ -167,10 +173,13 @@ def _with_side(
     group_cols: tuple[str, ...],
     t1: dict[str, object],
     t2: dict[str, object] | None,
+    *extra: Column,
 ) -> DataFrame:
-    return df.withColumn(SIDE, side_col(group_cols, t1, t2)).filter(
-        F.col(SIDE).isNotNull()
-    )
+    """``df``'s rows on the question's sides: one projection that adds
+    ``__side`` (and ``extra``) to every column, then one filter."""
+    return df.select(
+        "*", side_col(group_cols, t1, t2).alias(SIDE), *extra
+    ).filter(f"{quote(SIDE)} IS NOT NULL")
 
 
 def pt_sizes(
@@ -218,12 +227,12 @@ class QuestionSides:
         """PT restricted to the question's two sides, each row tagged with
         its side (``__side``) and λ_F1-samp membership (``__f1``). Mining
         does not read it; it is built when first read."""
-        sided = _with_side(self.source.df, self.source.group_cols, self.t1, self.t2)
-        return replace(
-            self.source,
-            df=sided.withColumn(F1_FLAG, _f1_flag(self.f1_samp, self.seed)),
-            n_rows=self.n1 + self.n2,
+        flag = _f1_flag(self.f1_samp, self.seed)
+        sided = _with_side(
+            self.source.df, self.source.group_cols, self.t1, self.t2,
+            F.expr(f"{flag} AS {quote(F1_FLAG)}"),
         )
+        return replace(self.source, df=sided, known_rows=self.n1 + self.n2)
 
 
 def question_sides(
@@ -245,31 +254,49 @@ def _prepared(
     t2: dict[str, object] | None,
     seed: int,
 ) -> tuple[DataFrame, list[APT]]:
-    """The collect plan of a question over ``graphs``: a union by name of
-    PT's rows on the question's sides (``__pt_id``, ``__side`` and the
+    """The collect plan of a question over ``graphs``: a positional union
+    of PT's rows on the question's sides (``__pt_id``, ``__side`` and the
     λ_F1-samp draw ``__bucket``; ``__g`` = -1) and each graph's APT, built
     on those rows, projected on ``__pt_id``, its pattern columns and
-    ``__hash`` (``__g`` = the graph's index). The last plan built over
-    ``pt`` is memoised on it. Re-running that DataFrame reuses its physical
-    plan, so Spark skips the shuffle stages an earlier run already wrote."""
+    ``__hash`` (``__g`` = the graph's index).
+
+    The sided PT is one projection plus a filter (:func:`_with_side`), and
+    each union branch one projection over the union's columns: a column
+    the branch lacks is a NULL cast to its type, taken from the sided PT's
+    or the context relation's schema. The last plan built over ``pt`` is
+    memoised on it. Re-running that DataFrame reuses its physical plan, so
+    Spark skips the shuffle stages an earlier run already wrote."""
     key = (graphs, seed, repr(t1), repr(t2))
     if pt.prepared is None or pt.prepared[0] != key:
-        sided = _with_side(pt.df, pt.group_cols, t1, t2).withColumn(
-            BUCKET, _bucket(seed)
+        sided = _with_side(
+            pt.df, pt.group_cols, t1, t2,
+            F.expr(f"{_bucket(seed)} AS {quote(BUCKET)}"),
         )
-        base = replace(pt, df=sided)
+        base = replace(pt, df=sided, known_rows=None)
         apts = [materialize_apt(db, base, jg) for jg in graphs]
-        branches = [sided.select(PT_ID, SIDE, BUCKET)] + [
-            apt.df.select(
-                PT_ID, *apt.pattern_cols, _row_hash(apt.pattern_cols, seed)
+        types = {f.name: f.dataType for f in sided.schema}
+        for apt in apts:
+            types.update(
+                (c, db.df(rel).schema[attr].dataType)
+                for c, (rel, attr) in apt.col_source.items()
             )
+        types[ROW_HASH] = LongType()
+        # Each branch's own columns, as column → SQL expression.
+        owns = [{c: quote(c) for c in (PT_ID, SIDE, BUCKET)}] + [
+            {c: quote(c) for c in (PT_ID, *apt.pattern_cols)}
+            | {ROW_HASH: _row_hash(apt.pattern_cols, seed)}
             for apt in apts
         ]
-        union = reduce(
-            lambda a, b: a.unionByName(b, allowMissingColumns=True),
-            (b.withColumn(GRAPH, F.lit(i - 1)) for i, b in enumerate(branches)),
-        )
-        pt.prepared = (key, (union, apts))
+        cols = list(dict.fromkeys(c for own in owns for c in own))
+        branches = [
+            df.selectExpr(*[
+                f"{own[c]} AS {quote(c)}" if c in own
+                else f"CAST(NULL AS {types[c].simpleString()}) AS {quote(c)}"
+                for c in cols
+            ], f"{i - 1} AS {quote(GRAPH)}")
+            for i, (df, own) in enumerate(zip([sided] + [a.df for a in apts], owns))
+        ]
+        pt.prepared = (key, (reduce(DataFrame.union, branches), apts))
     return pt.prepared[1]
 
 
@@ -355,10 +382,10 @@ def collect_question(
     )
 
 
-def _row_hash(cols: Sequence[str], seed: int) -> Column:
-    """Content hash of an APT projection row, so an order by it does not
-    depend on how the APT is partitioned."""
-    return F.xxhash64(PT_ID, *cols, F.lit(seed)).alias(ROW_HASH)
+def _row_hash(cols: Sequence[str], seed: int) -> str:
+    """Content hash of an APT projection row, as SQL, so an order by it
+    does not depend on how the APT is partitioned."""
+    return f"xxhash64({', '.join(quote(c) for c in (PT_ID, *cols))}, {int(seed)})"
 
 
 def apt_projection(apt: APT, cols: Iterable[str], seed: int = 0) -> DataFrame:
@@ -366,7 +393,10 @@ def apt_projection(apt: APT, cols: Iterable[str], seed: int = 0) -> DataFrame:
     (``__pt_id``, ``__side``, ``__f1``, ``cols``, ``__hash``).
     ``collect_question`` returns the same rows, bound on the driver."""
     cols = list(cols)
-    return apt.df.select(PT_ID, SIDE, F1_FLAG, *cols, _row_hash(cols, seed))
+    return apt.df.selectExpr(
+        *[quote(c) for c in (PT_ID, SIDE, F1_FLAG, *cols)],
+        f"{_row_hash(cols, seed)} AS {quote(ROW_HASH)}",
+    )
 
 
 def compute_support(

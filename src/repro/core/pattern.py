@@ -19,6 +19,8 @@ import pandas as pd
 from pyspark.sql import Column
 from pyspark.sql import functions as F
 
+from repro.substrate.query import quote
+
 _OPS = ("=", "<=", ">=")
 
 
@@ -33,7 +35,7 @@ class Predicate:
             raise ValueError(f"bad op {self.op!r}; must be one of {_OPS}")
 
     def to_column(self) -> Column:
-        c = F.col(self.attr)
+        c = F.col(quote(self.attr))
         if self.op == "=":
             return c == F.lit(self.value)
         if self.op == "<=":

@@ -16,17 +16,20 @@ Conventions (matching the paper's appendix output):
     coverage metrics of Def. 7 count *distinct provenance tuples*, so the
     APT (which fans each PT row out across joined context rows) must be able
     to group back to PT tuples.
+
+PT is cached but not computed here: the first Spark action over it
+materialises it, and |PT| (``ProvenanceTable.n_rows``) is counted only
+when it is read, as isValid reads a statistic (``join_graph.is_valid``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
 
-from pyspark.sql import Column, DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.substrate.catalog import Database
-from repro.substrate.query import AggQuery, split_ref
+from repro.substrate.query import AggQuery, quote, split_ref
 
 PT_ID = "__pt_id"
 PROV_PREFIX = "prov_"
@@ -40,6 +43,10 @@ def prov_col(rel_or_alias: str, attr: str) -> str:
 class ProvenanceTable:
     """``PT(Q, D)`` plus the bookkeeping needed to slice it per answer.
 
+    |PT| is a statistic read on demand, like ``Database.n_rows``:
+    ``known_rows`` is the count once held (else None, no Spark job), and
+    ``n_rows`` counts PT the first time it is read and holds the count.
+
     ``prepared`` memoises the last collect plan ``metrics.collect_question``
     built over this PT, keyed by (join graphs, seed, question). It lives and
     dies with this object: a recomputed PT, or one dropped by
@@ -51,10 +58,17 @@ class ProvenanceTable:
     group_cols: tuple[str, ...]  # group-by output names
     prov_cols: tuple[str, ...]   # the prov_* columns
     group_prov_cols: tuple[str, ...]  # prov_* twins of group-by attrs
-    n_rows: int
+    known_rows: int | None = field(default=None, compare=False)
     prepared: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def n_rows(self) -> int:
+        """|PT|; the first read runs one Spark action (``count``)."""
+        if self.known_rows is None:
+            self.known_rows = self.df.count()
+        return self.known_rows
 
 
 def _prov_prefixes(query: AggQuery) -> dict[str, str]:
@@ -70,51 +84,62 @@ def _prov_prefixes(query: AggQuery) -> dict[str, str]:
 
 
 def compute_pt(db: Database, query: AggQuery) -> ProvenanceTable:
-    """Materialise ``PT(Q, D)`` (Def. 1) and freeze its tuple identifiers.
+    """Build ``PT(Q, D)`` (Def. 1), cached, with frozen tuple identifiers.
+
+    No Spark action runs: the first action over PT (in ``explain``, the
+    question's collect) materialises its cache, and |PT| is counted only
+    when ``n_rows`` is read. PT is one projection of the query's filtered
+    join: each ``alias.attr`` as its prov_* column (every identifier
+    backtick-quoted), the group-by output columns, and ``__pt_id``. The
+    filter is the query's own WHERE text (``AggQuery.where_sql``).
 
     PT is built from ``db``'s DataFrames, not from temp views: replacing a
     view (``AggQuery.result`` on another Database with the same table
     names) would drop the cache of every plan that reads it. The result is
     memoised on ``db`` per query while its cache is held in memory, so a
-    repeated call runs no Spark action."""
+    repeated call builds nothing."""
     memo = db.pts.get(query)
     if memo is not None and memo.df.storageLevel.useMemory:
         return memo
     prefixes = _prov_prefixes(query)
-    select_items: list[Column] = []
-    prov_cols: list[str] = []
+    exprs: list[str] = []
+    outs: list[str] = []
     for rel, alias in query.tables:
         for attr in db.attrs(rel):
-            out = prov_col(prefixes[alias], attr)
-            select_items.append(F.col(f"{alias}.{attr}").alias(out))
-            prov_cols.append(out)
+            exprs.append(f"{quote(alias)}.{quote(attr)}")
+            outs.append(prov_col(prefixes[alias], attr))
+    prov_cols = tuple(outs)
     # prov_* twins of group-by attributes exactly determine the answer
     # tuples, so patterns must not use them (§2.4 forbids group-by attrs).
     group_prov: list[str] = []
     for ref, out in query.group_by:
-        select_items.append(F.expr(ref).alias(out))
         alias, attr = split_ref(ref)
+        exprs.append(f"{quote(alias)}.{quote(attr)}")
+        outs.append(out)
         group_prov.append(prov_col(prefixes[alias], attr))
-    frames = [db.df(rel).alias(alias) for rel, alias in query.tables]
-    df = reduce(DataFrame.join, frames)
-    df = df.filter(F.expr(query.where_sql())).select(*select_items)
     # Content-deterministic tuple id: row_number over a total order of all
-    # columns. Unlike monotonically_increasing_id, it is stable when the
-    # plan is re-executed (cache eviction, AQE re-partitioning), which the
-    # coverage metrics rely on — the APT's __pt_id values must agree with
-    # PT's under any recomputation. The single-partition window is fine at
-    # PT scale (provenance of one query, ≤ a few 100k rows).
-    w = Window.orderBy(*[F.col(c) for c in df.columns])
-    df = df.withColumn(PT_ID, F.row_number().over(w))
-    df = df.cache()
-    n = df.count()
+    # selected columns, in select order. Unlike monotonically_increasing_id,
+    # it is stable when the plan is re-executed (cache eviction, AQE
+    # re-partitioning), which the coverage metrics rely on — the APT's
+    # __pt_id values must agree with PT's under any recomputation. The
+    # single-partition window is fine at PT scale (provenance of one query,
+    # ≤ a few 100k rows).
+    pt_id = f"row_number() OVER (ORDER BY {', '.join(exprs)}) AS {quote(PT_ID)}"
+    frames = [db.df(rel).alias(alias) for rel, alias in query.tables]
+    df = (
+        reduce(DataFrame.join, frames)
+        .filter(query.where_sql())
+        .selectExpr(
+            *[f"{e} AS {quote(o)}" for e, o in zip(exprs, outs)], pt_id
+        )
+        .cache()
+    )
     pt = ProvenanceTable(
         query=query,
         df=df,
         group_cols=query.group_output_names,
-        prov_cols=tuple(prov_cols),
+        prov_cols=prov_cols,
         group_prov_cols=tuple(group_prov),
-        n_rows=n,
     )
     db.pts[query] = pt
     return pt

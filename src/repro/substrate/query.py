@@ -17,6 +17,12 @@ from pyspark.sql import DataFrame
 from repro.substrate.catalog import Database
 
 
+def quote(name: str) -> str:
+    """``name`` as a Spark SQL identifier: backtick-quoted, so reserved
+    words, spaces and dots are taken literally (a backtick is doubled)."""
+    return "`" + name.replace("`", "``") + "`"
+
+
 def split_ref(ref: str) -> tuple[str, str]:
     """``"g.season_id"`` → ``("g", "season_id")``."""
     alias, _, attr = ref.partition(".")

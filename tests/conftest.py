@@ -130,13 +130,16 @@ def toy_pt(toy_db, toy_query):
 @pytest.fixture
 def action_counter(spark, monkeypatch):
     """Counts the DataFrame actions (count/collect/toPandas/toArrow) that
-    run; an action another one calls internally is not counted again."""
+    run, in total (``n``) and per method name; an action another one calls
+    internally is not counted again."""
     cls = type(spark.range(1))
-    state = {"n": 0, "depth": 0}
+    names = ("count", "collect", "toPandas", "toArrow")
+    state = {"n": 0, "depth": 0, **dict.fromkeys(names, 0)}
 
     def counting(orig):
         def wrapped(*args, **kwargs):
             state["n"] += state["depth"] == 0
+            state[orig.__name__] += state["depth"] == 0
             state["depth"] += 1
             try:
                 return orig(*args, **kwargs)
@@ -145,7 +148,7 @@ def action_counter(spark, monkeypatch):
 
         return wrapped
 
-    for name in ("count", "collect", "toPandas", "toArrow"):
+    for name in names:
         monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     return state
 

@@ -79,10 +79,11 @@ def test_cold_explain_computes_only_non_key_distinct_counts(
 ):
     """A cold explain on a fresh, cached MIMIC database decides isValid
     from the statistics it holds: at the default λ_qCost, isValid runs no
-    Spark job at all. At a λ_qCost the bounds leave undecided (just below a
-    graph's exact estimate), the exact counts are computed: only distinct
-    counts over non-key attributes run jobs; row counts come from
-    ``cache_all`` and a key's distinct count from the row count."""
+    Spark job at all, PT's count included. At a λ_qCost the bounds leave
+    undecided (just below a graph's exact estimate), the exact counts are
+    computed: PT's count and distinct counts over non-key attributes run
+    jobs; row counts come from ``cache_all`` and a key's distinct count
+    from the row count."""
     import repro.core.explain as explain_mod
     from repro.core.config import CajadeParams
     from repro.core.join_graph import (
@@ -91,11 +92,13 @@ def test_cold_explain_computes_only_non_key_distinct_counts(
         estimate_bounds,
     )
     from repro.data.mimic import mimic_schema_graph
+    from repro.substrate.provenance import ProvenanceTable
     from repro.workload import UQ_MIMIC4 as uq
 
     sg = mimic_schema_graph()
     stats_jobs: dict = {}  # (table, attrs or None for the row count) → jobs
     is_valid_jobs: list[int] = []
+    pt_count_jobs: list[int] = []
 
     def counted(fn, record):
         def wrapped(*args, **kwargs):
@@ -119,11 +122,19 @@ def test_cold_explain_computes_only_non_key_distinct_counts(
         "is_valid",
         counted(explain_mod.is_valid, lambda _, n: is_valid_jobs.append(n)),
     )
+    monkeypatch.setattr(
+        ProvenanceTable,
+        "n_rows",
+        property(counted(
+            ProvenanceTable.n_rows.fget, lambda _, n: pt_count_jobs.append(n)
+        )),
+    )
 
     def cold_explain(q_cost: float):
         db = fresh_db(mimic_db)
         stats_jobs.clear()
         is_valid_jobs.clear()
+        pt_count_jobs.clear()
         res = explain_mod.explain(
             db, sg, uq.query, uq.t1, uq.t2,
             CajadeParams(n_edges=1, seed=3, q_cost=q_cost),
@@ -134,13 +145,14 @@ def test_cold_explain_computes_only_non_key_distinct_counts(
     assert res.n_mined >= 2
     assert len(is_valid_jobs) == res.n_join_graphs
     assert sum(is_valid_jobs) == sum(stats_jobs.values()) == 0
+    assert not pt_count_jobs
 
     # A λ_qCost just below a graph's exact estimate E and above its E_min:
     # the bounds leave the graph undecided, and the exact count prunes it.
     pt_rows, exact = res.pt.n_rows, fresh_db(mimic_db)
     jg, borderline = next(
         (j, q) for j in enumerate_join_graphs(sg, uq.query, 1)
-        if estimate_bounds(j, db, pt_rows)[0]
+        if estimate_bounds(j, db, (pt_rows, pt_rows))[0]
         <= (q := np.nextafter(estimate_apt_rows(j, exact, pt_rows), 0))
     )
     db, res = cold_explain(borderline)
@@ -151,4 +163,5 @@ def test_cold_explain_computes_only_non_key_distinct_counts(
     }
     assert keyed and all(stats_jobs[k] == 0 for k in keyed)
     non_key = sum(stats_jobs[k] for k in set(stats_jobs) - keyed)
-    assert non_key == sum(is_valid_jobs) > 0
+    assert non_key > 0 and sum(pt_count_jobs) > 0
+    assert non_key + sum(pt_count_jobs) == sum(is_valid_jobs)

@@ -66,7 +66,7 @@ def test_pk_connectivity_prunes(toy_db, toy_sg, toy_query, toy_pt):
     assert one_edge
     # player_game_scoring PK includes 'player' which no edge joins → invalid
     assert not any(
-        is_valid(j, toy_db, toy_pt.n_rows, 1e9) for j in one_edge
+        is_valid(j, toy_db, toy_pt, 1e9) for j in one_edge
     )
 
 
@@ -75,7 +75,7 @@ def test_cost_cap_prunes_everything(toy_db, toy_sg, toy_query, toy_pt):
 
     jgs = enumerate_join_graphs(toy_sg, toy_query, 1)
     assert not any(
-        is_valid(j, toy_db, toy_pt.n_rows, q_cost=0.0) for j in jgs if j.n_edges
+        is_valid(j, toy_db, toy_pt, q_cost=0.0) for j in jgs if j.n_edges
     )
 
 
@@ -166,6 +166,24 @@ def test_warm_explain_makes_one_action(
     assert res.n_mined >= 2
     assert action_counter["n"] - before == 1
     assert job_counter() - jobs == 1
+
+
+def test_cold_explain_makes_one_action(mimic_db, fresh_db, action_counter):
+    """A question's first explain on a fresh Database runs one Spark action,
+    the collect: isValid decides every graph from held statistics with |PT|
+    bounded by the query's row counts, so PT is not counted. |PT| is
+    counted the first time it is read, and held."""
+    db = fresh_db(mimic_db)
+    before = dict(action_counter)
+    res = _mimic_explain(db)
+    assert res.n_mined >= 2
+    ran = {k: action_counter[k] - before[k] for k in before if k != "depth"}
+    assert ran == {"n": 1, "count": 0, "collect": 0, "toPandas": 0, "toArrow": 1}
+    assert res.pt.known_rows is None
+    n = res.pt.n_rows
+    assert action_counter["count"] - before["count"] == 1
+    assert res.pt.n_rows == res.pt.known_rows == n > 0
+    assert action_counter["count"] - before["count"] == 1
 
 
 @pytest.mark.parametrize("t2", ["Private", None])

@@ -15,6 +15,7 @@ from repro.core.join_graph import (
     estimate_bounds,
     extend_jg,
     is_valid,
+    pt_row_bounds,
 )
 from repro.core.schema_graph import SchemaGraph, fk_cond
 
@@ -134,14 +135,17 @@ def test_parallel_edges_allowed():
 
 @pytest.mark.parametrize("dataset", ["mimic", "nba"])
 def test_is_valid_equals_the_exact_estimate(
-    request, dataset, fresh_db, job_counter
+    request, dataset, fresh_db, job_counter, action_counter
 ):
     """isValid's cost cap decided from the catalog's bounds equals the
     exact estimate's decision for every enumerated graph up to 2 edges, at
-    every graph's own exact estimate, at its bounds E_min and E_max, at the
-    float neighbours of these three, and at the benchmarks' λ_qCost values.
-    Where the bounds decide, no Spark job runs; where they do not, the
-    exact counts are computed."""
+    every graph's own exact estimate, at its bounds E_min and E_max (with
+    |PT| exact, and with |PT| bounded by the query's row counts), at the
+    float neighbours of these, and at the benchmarks' λ_qCost values.
+    Where the bounds decide without |PT|, no Spark job runs, PT's count
+    included; where they decide once PT is counted, PT is counted once and
+    no distinct count runs; where they do not decide, the exact counts are
+    computed. A PT is never counted twice."""
     from repro.substrate.provenance import compute_pt
     from repro.workload import UQ_1, UQ_MIMIC4
 
@@ -156,26 +160,45 @@ def test_is_valid_equals_the_exact_estimate(
     src = request.getfixturevalue(f"{dataset}_db")
     pt_rows = compute_pt(src, uq.query).n_rows
     exact, bounded, undecided_db = fresh_db(src), fresh_db(src), fresh_db(src)
+    lazy = compute_pt(bounded, uq.query)
+    pt_bounds = pt_row_bounds(bounded, lazy)
+    assert pt_bounds[0] == 0 < pt_rows <= pt_bounds[1]
     # PK-connected graphs: the cap alone decides them.
     jgs = [
         jg for jg in enumerate_join_graphs(schema_graph(), uq.query, 2)
-        if is_valid(jg, bounded, pt_rows, math.inf)
+        if is_valid(jg, bounded, lazy, math.inf)
     ]
-    decided, undecided = [], []
+    by_bounds, by_count, undecided = [], [], []
     for jg in jgs:
         est = estimate_apt_rows(jg, exact, pt_rows)
-        lo, hi = estimate_bounds(jg, bounded, pt_rows)
-        assert lo <= est <= hi
+        lo, hi = estimate_bounds(jg, bounded, (pt_rows, pt_rows))
+        lo0, hi0 = estimate_bounds(jg, bounded, pt_bounds)
+        assert lo0 <= lo <= est <= hi <= hi0
         qs = {0.0, 5e5, 2e6, math.inf}
-        for v in (est, lo, hi):
+        for v in (est, lo, hi, hi0):
             qs |= {v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)}
         for q in qs:
-            (decided if hi <= q or lo > q else undecided).append((jg, q, est))
-    assert decided and undecided
-    before = job_counter()
-    for jg, q, est in decided:
-        assert is_valid(jg, bounded, pt_rows, q) == (est <= q), (jg, q)
+            if hi0 <= q or lo0 > q:
+                by_bounds.append((jg, q, est))
+            elif hi <= q or lo > q:
+                by_count.append((jg, q, est))
+            else:
+                undecided.append((jg, q, est))
+    assert by_bounds and by_count and undecided
+    before, counts = job_counter(), dict(action_counter)
+    for jg, q, est in by_bounds:
+        assert is_valid(jg, bounded, lazy, q) == (est <= q), (jg, q)
     assert job_counter() == before
+    assert lazy.known_rows is None
+    for jg, q, est in by_count:
+        assert is_valid(jg, bounded, lazy, q) == (est <= q), (jg, q)
+    assert lazy.known_rows == pt_rows
+    assert action_counter["count"] - counts["count"] == 1
+    assert action_counter["n"] - counts["n"] == 1
+    before, counts = job_counter(), dict(action_counter)
+    pt = compute_pt(undecided_db, uq.query)
     for jg, q, est in undecided:
-        assert is_valid(jg, undecided_db, pt_rows, q) == (est <= q), (jg, q)
+        assert is_valid(jg, undecided_db, pt, q) == (est <= q), (jg, q)
     assert job_counter() > before
+    assert pt.known_rows == pt_rows
+    assert action_counter["count"] - counts["count"] == 1

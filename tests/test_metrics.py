@@ -99,6 +99,55 @@ def test_spark_matches_brute_force(apt, toy_pt):
         )
 
 
+_TOY_PREDS = st.one_of(
+    st.builds(
+        Predicate,
+        st.just("player_game_scoring_player"),
+        st.just("="),
+        st.sampled_from(["S. Curry", "K. Thompson", "D. Green", "X"]),
+    ),
+    st.builds(
+        Predicate,
+        st.sampled_from(["player_game_scoring_pts", "prov_game_home_pts"]),
+        st.sampled_from(["=", "<=", ">="]),
+        st.sampled_from([2, 19, 22, 27, 102, 111]),
+    ),
+)
+_TOY_PATTERNS = st.lists(_TOY_PREDS, max_size=2, unique_by=lambda p: p.attr).map(
+    lambda preds: Pattern(tuple(sorted(preds, key=lambda p: p.attr)))
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(_TOY_PATTERNS, min_size=1, max_size=4),
+    st.sampled_from([T2, None]),
+    st.sampled_from([None, 0.3, 0.5, 0.9]),
+    st.integers(0, 50),
+)
+def test_compute_support_equals_brute_force(apt, toy_pt, patterns, t2, f1_samp, seed):
+    """The Spark reference scorer against Def. 7 over pandas frames, with
+    t2 = None and λ_F1-samp samples. The sample is drawn here with its own
+    Column expression of the PT-tuple hash, so both the side and the bucket
+    expressions the scorers share are checked."""
+    from pyspark.sql import functions as F
+
+    apt_pdf, pt_pdf = apt.df.toPandas(), toy_pt.df.toPandas()
+    if f1_samp is not None:
+        draw = toy_pt.df.select(
+            PT_ID,
+            F.pmod(F.xxhash64(F.col(PT_ID), F.lit(seed)), F.lit(10000)).alias("b"),
+        ).toPandas()
+        ids = set(draw.loc[draw["b"] < int(f1_samp * 10000), PT_ID])
+        apt_pdf = apt_pdf[apt_pdf[PT_ID].isin(ids)]
+        pt_pdf = pt_pdf[pt_pdf[PT_ID].isin(ids)]
+    want = [
+        brute_force_support(apt_pdf, pt_pdf, ("season",), p, T1, t2)
+        for p in patterns
+    ]
+    assert compute_support(apt, toy_pt, patterns, T1, t2, f1_samp, seed) == want
+
+
 def test_evaluator_matches_spark(apt, toy_db, toy_pt):
     pats = [
         CURRY23,
@@ -324,6 +373,100 @@ def test_collected_frames_equal_each_graph_own_collect(split_db, f1_samp):
             return pdf.sort_values([ROW_HASH, PT_ID]).reset_index(drop=True)
 
         pd.testing.assert_frame_equal(ordered(got), ordered(want))
+
+
+# A string constant with a quote, a backslash, a double quote and a control
+# character: rendered as Python's repr or as unescaped SQL, it would not
+# parse or would match another value.
+_ODD_CONST = """it's \\ a "note"\x7f"""
+
+
+@pytest.fixture(scope="module")
+def odd_db(spark):
+    """PT over ``odd`` whose attributes are SQL reserved words or need
+    backticks (``order``, ``group``, a space, a dot and a backtick), and
+    a context relation ``my rel`` joined on ``order`` and a string
+    constant that holds a quote."""
+    import pandas as pd
+
+    from repro.substrate.catalog import Database
+    from repro.substrate.provenance import compute_pt
+    from repro.substrate.query import AggQuery
+
+    n = 12
+    db = Database(spark)
+    db.add(
+        "odd",
+        spark.createDataFrame(pd.DataFrame({
+            "order": range(n),
+            "group": ["a" if i % 3 else "b" for i in range(n)],
+            "my col": [f"v {i % 4}" for i in range(n)],
+            "a.b`c": [i % 5 for i in range(n)],
+        })),
+        ("order",),
+    )
+    db.add(
+        "my rel",
+        spark.createDataFrame(pd.DataFrame({
+            "order": range(n),
+            "note": [_ODD_CONST if i % 2 else "it" for i in range(n)],
+            "select": [float(i) for i in range(n)],
+        })),
+        ("order",),
+    )
+    db.cache_all()
+    query = AggQuery(tables=(("odd", "from"),), group_by=(("from.group", "when"),))
+    return db, compute_pt(db, query)
+
+
+@pytest.mark.parametrize("f1_samp", [None, 0.5])
+def test_reserved_and_quoted_names_and_constants(odd_db, f1_samp):
+    """compute_pt, materialize_apt and collect_question quote every
+    identifier and render constants as literals: the collected frames equal
+    each graph's own collect, and the constant selects exactly its rows."""
+    import pandas as pd
+
+    from repro.core.join_graph import empty_join_graph
+    from repro.core.metrics import ROW_HASH, collect_question
+    from repro.core.schema_graph import JoinCond
+
+    db, pt = odd_db
+    assert "prov_odd_a.b`c" in pt.prov_cols and pt.group_cols == ("when",)
+    assert pt.n_rows == 12
+    on_order = JoinCond(pairs=(("order", "order"),))
+    const = JoinCond(pairs=(("order", "order"),), consts=(("r", "note", _ODD_CONST),))
+    rel = "my rel"
+    graphs = [
+        empty_join_graph(),
+        JoinGraph(
+            nodes=((PT_NODE, None), (1, rel)),
+            edges=(JGEdge(PT_NODE, 1, const, "odd", rel),),
+        ),
+        # A parallel edge with the constant becomes a filter.
+        JoinGraph(
+            nodes=((PT_NODE, None), (1, rel)),
+            edges=(
+                JGEdge(PT_NODE, 1, on_order, "odd", rel),
+                JGEdge(PT_NODE, 1, const, "odd", rel),
+            ),
+        ),
+    ]
+    t1, t2 = {"when": "a"}, {"when": "b"}
+    sides = collect_question(db, pt, graphs, t1, t2, f1_samp, seed=7)
+    if f1_samp is None:
+        assert (sides.n1, sides.n2) == (8, 4)
+    for jg in graphs:
+        apt = materialize_apt(db, sides.pt, jg)
+        want = apt_projection(apt, apt.pattern_cols, seed=7).toPandas()
+        got = sides.collected[jg][1]
+
+        def ordered(pdf):
+            return pdf.sort_values([ROW_HASH, PT_ID]).reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(ordered(got), ordered(want))
+        if jg.edges:
+            assert "my rel_select" in got
+            assert len(got) == 6 and set(got["my rel_note"]) == {_ODD_CONST}
 
 
 _GROUPS = ["A", "B", "C", None]
