@@ -22,8 +22,12 @@ For each call it prints the wall time, the Spark actions (``count``,
 ``collect``, ``toPandas``, ``toArrow``; one inside another counts once), the
 Spark jobs, the py4j calls made while building plans (inside
 ``compute_pt`` and the collect plan's ``metrics._prepared``, less those of
-the actions run there), the "Materialize APTs" and "JG Enum." step
-seconds, and the join graphs mined.
+the actions run there), the call-site captures PySpark made (one per
+``Column``-API call: ``F.col``, Column operators, …; counted by wrapping
+``pyspark.errors.utils._capture_call_site`` here, not in the program), the
+"Materialize APTs" and "JG Enum." step seconds, and the join graphs mined.
+After the three calls it prints the process's Python peak RSS
+(``ru_maxrss``): the first capture in a process imports IPython.
 
 ``--root`` runs another checkout's ``src/`` (e.g. a parent commit's), so
 two versions can be measured with the same script.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -42,9 +47,12 @@ ACTIONS = ("count", "collect", "toPandas", "toArrow")
 
 
 class Probe:
-    """Counts the actions, jobs and plan-building py4j calls of a call."""
+    """Counts the actions, jobs, plan-building py4j calls and call-site
+    captures of a call."""
 
     def __init__(self, spark) -> None:
+        import pyspark.errors.utils
+
         import repro.core.explain
         import repro.core.metrics
 
@@ -53,6 +61,7 @@ class Probe:
         self._bus = sc._jsc.sc().listenerBus()
         self.actions: Counter = Counter()
         self.py4j = 0
+        self.captures = 0
         self._depth = 0      # open actions
         self._building = 0   # open plan-building functions
         client = sc._gateway._gateway_client
@@ -63,6 +72,14 @@ class Probe:
             return send(*args, **kwargs)
 
         client.send_command = counted_send
+        capture = pyspark.errors.utils._capture_call_site
+
+        def counted_capture(depth):
+            self.captures += 1
+            return capture(depth)
+
+        # PySpark's call-site wrapper looks the function up in its module.
+        pyspark.errors.utils._capture_call_site = counted_capture
         cls = type(spark.range(1))
         for name in ACTIONS:
             setattr(cls, name, self._action(name, getattr(cls, name)))
@@ -100,6 +117,7 @@ class Probe:
     def reset(self) -> None:
         self.actions.clear()
         self.py4j = 0
+        self.captures = 0
 
 
 def start_spark():
@@ -159,13 +177,16 @@ def main(argv=None) -> int:
                 f"{call:6s} wall {wall:6.2f} s | actions "
                 f"{sum(probe.actions.values())} {dict(probe.actions)} | jobs "
                 f"{probe.last_job_id() - jobs} | plan py4j calls "
-                f"{probe.py4j} | Materialize APTs "
+                f"{probe.py4j} | call-site captures {probe.captures} | "
+                f"Materialize APTs "
                 f"{times.get('Materialize APTs', 0.0):.2f} s | JG Enum. "
                 f"{times.get('JG Enum.', 0.0):.2f} s | mined "
                 f"{res.n_mined}/{res.n_join_graphs} | explanations "
                 f"{len(res.explanations)}",
                 flush=True,
             )
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"python peak RSS {peak:.1f} MB", flush=True)
     finally:
         spark.stop()
     return 0

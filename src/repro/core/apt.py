@@ -10,10 +10,11 @@ realises it as a chain of Catalyst equi-joins:
     under ``BROADCAST_MAX_BYTES``;
   * an edge whose far endpoint is not yet part of the plan becomes a join;
     an edge between two already-joined nodes (a cycle / parallel edge)
-    becomes a filter. Its equi-join pairs are one SQL expression over
-    backtick-quoted column names;
-  * constant constraints inside join conditions are compared with their
-    ``F.lit`` values in the same condition;
+    becomes a filter. A join is an inner join whose condition is the
+    following ``where``, which Catalyst pushes into the join;
+  * an edge's condition is one SQL condition: its equi-join pairs over
+    backtick-quoted column names, and each constant constraint compared
+    with its value as ``query.sql_literal`` renders it;
   * after all joins, the context-side join-key columns are dropped — they
     duplicate the columns they were equated with ("duplicate (renamed)
     columns are removed", Def. 4).
@@ -24,17 +25,14 @@ plus the surviving context columns.
 """
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
 
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable, prov_col
-from repro.substrate.query import quote, split_ref
+from repro.substrate.query import quote, split_ref, sql_literal
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 
 # A context relation whose size (``Database.size_bytes``: held row count ×
@@ -98,24 +96,23 @@ def _side_col(
     return f"{prefixes[nid]}_{attr}"
 
 
-def _edge_cond(e: JGEdge, prefixes: dict[int, str]) -> Column:
-    """An edge's condition over APT columns: its equi-join pairs as one SQL
-    expression over backtick-quoted names, AND each constant constraint
-    compared with its ``F.lit`` value."""
-    pairs = " AND ".join(
+def _edge_cond(e: JGEdge, prefixes: dict[int, str]) -> str:
+    """An edge's condition over APT columns, as one SQL condition: its
+    equi-join pairs over backtick-quoted names AND each constant constraint
+    compared with its :func:`~repro.substrate.query.sql_literal` value."""
+    conds = [
         f"{quote(_side_col(e.n1, e.rel1, la, prefixes))} = "
         f"{quote(_side_col(e.n2, e.rel2, ra, prefixes))}"
         for la, ra in e.cond.pairs
-    )
-    conds = [F.expr(pairs)] if pairs else []
+    ]
     for side, attr, value in e.cond.consts:
         nid, rel = (e.n1, e.rel1) if side == "l" else (e.n2, e.rel2)
         conds.append(
-            F.col(quote(_side_col(nid, rel, attr, prefixes))) == F.lit(value)
+            f"{quote(_side_col(nid, rel, attr, prefixes))} = {sql_literal(value)}"
         )
     if not conds:
         raise ValueError("edge with empty join condition")
-    return reduce(operator.and_, conds)
+    return " AND ".join(conds)
 
 
 def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
@@ -155,7 +152,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
             right = db.df(rel).toDF(*[f"{pfx}_{a}" for a in db.attrs(rel)])
             size = db.size_bytes(rel)
             if size is not None and size < BROADCAST_MAX_BYTES:
-                right = F.broadcast(right)
+                right = right.hint("broadcast")
             context_cols.extend(f"{pfx}_{a}" for a in db.attrs(rel))
             col_source.update({f"{pfx}_{a}": (rel, a) for a in db.attrs(rel)})
             # The new node's join keys equal the other side — drop them.
@@ -165,7 +162,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
                 else _side_col(e.n2, e.rel2, ra, prefixes)
                 for la, ra in e.cond.pairs
             )
-            df = df.join(right, on=cond, how="inner")
+            df = df.join(right).where(cond)
             joined.add(new_nid)
         else:
             df = df.filter(cond)

@@ -39,19 +39,18 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import PT_ID, ProvenanceTable
-from repro.substrate.query import quote
+from repro.substrate.query import quote, sql_literal
 from repro.core.apt import APT, materialize_apt
 from repro.core.join_graph import JoinGraph
 from repro.core.pattern import Pattern, Predicate
 
 _BATCH = 200  # patterns per Spark job; keeps codegen size bounded
-SIDE = "__side"      # 1: provenance of t1, 2: of t2 (see side_col)
+SIDE = "__side"      # 1: provenance of t1, 2: of t2 (see side_sql)
 F1_FLAG = "__f1"     # the PT tuple is in the λ_F1-samp sample
 ROW_HASH = "__hash"  # content hash of an APT projection row
 GRAPH = "__g"        # union branch of a collected row (collect_question)
@@ -101,28 +100,27 @@ class Support:
         return self.metrics(primary)[2]
 
 
-def _group_cond(group_cols: tuple[str, ...], t: dict[str, object]) -> Column:
-    cond = F.lit(True)
-    for k in group_cols:
-        cond = cond & F.col(quote(k)).eqNullSafe(F.lit(t[k]))
-    return cond
-
-
-def side_col(
+def side_sql(
     group_cols: tuple[str, ...],
     t1: dict[str, object],
     t2: dict[str, object] | None,
-) -> Column:
-    """The side of the question a PT or APT row is on: 1 for t1's
-    provenance, 2 for t2's (for a single-point question, every other PT
-    tuple), NULL for neither. Group-by values compare null-safely, so a NULL
-    group value is an answer tuple of its own, as in GROUP BY, and a
-    question value is cast to its column's type by Spark's comparison.
-    :func:`pandas_side` is the same rule over pandas frames, for question
-    values typed like their columns."""
-    c1 = _group_cond(group_cols, t1)
-    c2 = ~c1 if t2 is None else _group_cond(group_cols, t2)
-    return F.when(c1, 1).when(c2, 2)
+) -> str:
+    """The side of the question a PT or APT row is on, as one SQL CASE: 1
+    for t1's provenance, 2 for t2's (for a single-point question, every
+    other PT tuple), NULL for neither. Group-by values compare null-safely
+    (``<=>``), so a NULL group value is an answer tuple of its own, as in
+    GROUP BY, and a question value is cast to its column's type by Spark's
+    comparison. :func:`pandas_side` is the same rule over pandas frames, for
+    question values typed like their columns."""
+
+    def cond(t: dict[str, object]) -> str:
+        return " AND ".join(
+            f"{quote(k)} <=> {sql_literal(t[k])}" for k in group_cols
+        ) or "true"
+
+    c1 = cond(t1)
+    c2 = f"NOT ({c1})" if t2 is None else cond(t2)
+    return f"CASE WHEN {c1} THEN 1 WHEN {c2} THEN 2 END"
 
 
 def pandas_side(
@@ -131,7 +129,7 @@ def pandas_side(
     t1: dict[str, object],
     t2: dict[str, object] | None,
 ) -> np.ndarray:
-    """:func:`side_col` over a pandas frame, with 0 for neither side, for
+    """:func:`side_sql` over a pandas frame, with 0 for neither side, for
     question values typed like their columns (no implicit cast). The
     reference :func:`brute_force_support` splits sides with it."""
 
@@ -173,12 +171,13 @@ def _with_side(
     group_cols: tuple[str, ...],
     t1: dict[str, object],
     t2: dict[str, object] | None,
-    *extra: Column,
+    *extra: str,
 ) -> DataFrame:
     """``df``'s rows on the question's sides: one projection that adds
-    ``__side`` (and ``extra``) to every column, then one filter."""
-    return df.select(
-        "*", side_col(group_cols, t1, t2).alias(SIDE), *extra
+    ``__side`` (and the SQL items ``extra``) to every column, then one
+    filter."""
+    return df.selectExpr(
+        "*", f"{side_sql(group_cols, t1, t2)} AS {quote(SIDE)}", *extra
     ).filter(f"{quote(SIDE)} IS NOT NULL")
 
 
@@ -191,11 +190,12 @@ def pt_sizes(
 ) -> tuple[int, int]:
     """(|PT(Q,D,t1)|, |PT(Q,D,t2)|) under the F-score sample. For
     single-point questions (t2 is None) the second side is PT \\ PT(t1)."""
-    sided = _with_side(pt.df, pt.group_cols, t1, t2)
-    side = F.col(SIDE)
     row = (
-        sided.filter(_f1_flag(f1_samp, seed))
-        .agg(F.count(F.when(side == 1, 1)), F.count(F.when(side == 2, 1)))
+        _with_side(pt.df, pt.group_cols, t1, t2)
+        .filter(_f1_flag(f1_samp, seed))
+        .selectExpr(*[
+            f"count(CASE WHEN {quote(SIDE)} = {s} THEN 1 END)" for s in (1, 2)
+        ])
         .collect()[0]
     )
     return int(row[0]), int(row[1])
@@ -230,7 +230,7 @@ class QuestionSides:
         flag = _f1_flag(self.f1_samp, self.seed)
         sided = _with_side(
             self.source.df, self.source.group_cols, self.t1, self.t2,
-            F.expr(f"{flag} AS {quote(F1_FLAG)}"),
+            f"{flag} AS {quote(F1_FLAG)}",
         )
         return replace(self.source, df=sided, known_rows=self.n1 + self.n2)
 
@@ -270,7 +270,7 @@ def _prepared(
     if pt.prepared is None or pt.prepared[0] != key:
         sided = _with_side(
             pt.df, pt.group_cols, t1, t2,
-            F.expr(f"{_bucket(seed)} AS {quote(BUCKET)}"),
+            f"{_bucket(seed)} AS {quote(BUCKET)}",
         )
         base = replace(pt, df=sided, known_rows=None)
         apts = [materialize_apt(db, base, jg) for jg in graphs]
@@ -416,27 +416,28 @@ def compute_support(
         _f1_flag(f1_samp, seed)
     )
 
+    # A dict ``agg`` names its columns ``max(__m0)`` …, in no fixed order,
+    # so its results are read by name.
     out: list[Support] = []
     for lo in range(0, len(patterns), _BATCH):
         chunk = patterns[lo : lo + _BATCH]
-        cols = [
-            F.when(p.to_column(), 1).otherwise(0).alias(f"__m{i}")
-            for i, p in enumerate(chunk)
-        ]
         stage1 = (
-            df.select(PT_ID, SIDE, *cols)
+            df.selectExpr(quote(PT_ID), quote(SIDE), *[
+                f"CASE WHEN {p.to_sql()} THEN 1 ELSE 0 END AS __m{i}"
+                for i, p in enumerate(chunk)
+            ])
             .groupBy(PT_ID, SIDE)
-            .agg(*[F.max(f"__m{i}").alias(f"__c{i}") for i in range(len(chunk))])
+            .agg({f"__m{i}": "max" for i in range(len(chunk))})
         )
         rows = (
             stage1.groupBy(SIDE)
-            .agg(*[F.sum(f"__c{i}").alias(f"__c{i}") for i in range(len(chunk))])
+            .agg({f"max(__m{i})": "sum" for i in range(len(chunk))})
             .collect()
         )
         cov = {int(r[SIDE]): r for r in rows}
         for i in range(len(chunk)):
-            c1v = int(cov[1][f"__c{i}"]) if 1 in cov else 0
-            c2v = int(cov[2][f"__c{i}"]) if 2 in cov else 0
+            c1v = int(cov[1][f"sum(max(__m{i}))"]) if 1 in cov else 0
+            c2v = int(cov[2][f"sum(max(__m{i}))"]) if 2 in cov else 0
             out.append(Support(cov1=c1v, n1=n1, cov2=c2v, n2=n2))
     return out
 

@@ -6,9 +6,10 @@ attributes only take ``=``. A tuple matches when every predicate holds
 (NULL never matches, mirroring SQL three-valued logic collapsing to false).
 
 Patterns are immutable and hashable so the miner can keep ``done`` sets and
-use them as dict keys. ``to_column`` compiles a pattern to a Catalyst
-boolean expression; ``pandas_mask`` is the driver-side equivalent used on
-bounded samples.
+use them as dict keys. ``to_sql`` renders a pattern as a Spark SQL
+condition (values as :func:`~repro.substrate.query.sql_literal` renders
+them); ``pandas_mask`` is the driver-side equivalent used on bounded
+samples.
 """
 from __future__ import annotations
 
@@ -16,10 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-
-from repro.substrate.query import quote
+from repro.substrate.query import quote, sql_literal
 
 _OPS = ("=", "<=", ">=")
 
@@ -34,13 +32,8 @@ class Predicate:
         if self.op not in _OPS:
             raise ValueError(f"bad op {self.op!r}; must be one of {_OPS}")
 
-    def to_column(self) -> Column:
-        c = F.col(quote(self.attr))
-        if self.op == "=":
-            return c == F.lit(self.value)
-        if self.op == "<=":
-            return c <= F.lit(self.value)
-        return c >= F.lit(self.value)
+    def to_sql(self) -> str:
+        return f"{quote(self.attr)} {self.op} {sql_literal(self.value)}"
 
     def pandas_mask(self, pdf: pd.DataFrame) -> np.ndarray:
         s = pdf[self.attr]
@@ -90,13 +83,8 @@ class Pattern:
     def is_refinement_of(self, other: "Pattern") -> bool:
         return set(other.preds).issubset(set(self.preds)) and self != other
 
-    def to_column(self) -> Column:
-        if not self.preds:
-            return F.lit(True)
-        col = self.preds[0].to_column()
-        for p in self.preds[1:]:
-            col = col & p.to_column()
-        return col
+    def to_sql(self) -> str:
+        return " AND ".join(p.to_sql() for p in self.preds) or "true"
 
     def pandas_mask(self, pdf: pd.DataFrame) -> np.ndarray:
         mask = np.ones(len(pdf), dtype=bool)

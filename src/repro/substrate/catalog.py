@@ -19,7 +19,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+
+from repro.substrate.query import quote
 
 
 @dataclass
@@ -135,10 +136,10 @@ class Database:
 
         A missing count is computed in one aggregation together with the
         missing counts of ``also``, further attribute sets of the same
-        table. Each set is counted as ``countDistinct`` of a struct of its
+        table. Each set is counted as ``count(DISTINCT struct(…))`` of its
         attributes: a struct is never NULL and compares NULL fields as
         equal, so a NULL counts as a value, as in
-        ``select(*attrs).distinct().count()`` (``countDistinct(a, b)``
+        ``select(*attrs).distinct().count()`` (``count(DISTINCT a, b)``
         would skip rows where a or b is NULL)."""
         if self._keyed(name, attrs):
             return max(1, self.n_rows(name))
@@ -149,9 +150,10 @@ class Database:
                 for k in [key] + [(name, tuple(sorted(a))) for a in also]
                 if k not in self._n_distinct and not self._keyed(name, k[1])
             ))
-            row = self.df(name).agg(
-                *[F.countDistinct(F.struct(*k[1])) for k in todo]
-            ).first()
+            row = self.df(name).selectExpr(*[
+                f"count(DISTINCT struct({', '.join(map(quote, k[1]))}))"
+                for k in todo
+            ]).first()
             self._n_distinct.update(zip(todo, row))
         return max(1, self._n_distinct[key])
 

@@ -7,20 +7,99 @@ spec; :meth:`AggQuery.to_sql` renders identical SQL for both Spark
 substrate reuses the same FROM/WHERE block to build `PT(Q, D)`.
 
 Attribute references are written ``alias.attr`` throughout.
+
+Every Spark expression the package builds is SQL text: :func:`quote` renders
+an identifier and :func:`sql_literal` a Python value. PySpark 4 wraps each
+``Column``-API call (``F.col``, Column operators and methods such as
+``alias``, …) in a capture of its Python call site, which costs py4j round
+trips per call, and the first capture in a process imports IPython.
+DataFrame methods that take SQL text (``selectExpr``, ``filter``/``where``,
+``hint``, ``groupBy().agg`` with a dict) are not wrapped.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from datetime import date, datetime
+from decimal import Decimal
+from typing import TYPE_CHECKING
 
-from pyspark.sql import DataFrame
+import numpy as np
 
-from repro.substrate.catalog import Database
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
+
+    from repro.substrate.catalog import Database
 
 
 def quote(name: str) -> str:
     """``name`` as a Spark SQL identifier: backtick-quoted, so reserved
     words, spaces and dots are taken literally (a backtick is doubled)."""
     return "`" + name.replace("`", "``") + "`"
+
+
+# Spark SQL suffix of a numpy integer literal, by the integer's width:
+# TINYINT, SMALLINT, INT, BIGINT (``F.lit`` casts to the numpy type).
+_INT_SUFFIX = {1: "Y", 2: "S", 4: "", 8: "L"}
+
+
+def sql_literal(v: object) -> str:
+    """``v`` as Spark SQL literal text, of the type and value ``F.lit(v)``
+    gives it:
+
+    * ``None`` → ``NULL`` (void); ``bool`` → ``true``/``false``;
+    * ``int`` → digits, which Spark reads as INT when the value fits in 32
+      bits and BIGINT otherwise, as py4j passes it;
+    * ``float`` → ``repr(v)`` with the ``D`` (double) suffix; NaN and ±inf
+      as a CAST of Spark's name for them;
+    * ``Decimal`` → ``str(v)`` with the ``BD`` suffix (Java's BigDecimal of
+      the same text, as py4j passes it);
+    * ``str`` → single-quoted, with backslashes and quotes escaped and ``$``
+      as ``\\u0024``, so Spark's ``${…}`` variable substitution, which runs
+      over expression text too, leaves it as it is;
+    * ``date`` → ``DATE '…'``; ``datetime`` (and ``pd.Timestamp``, to the
+      microsecond) → ``TIMESTAMP '…'``, with its UTC offset when it has
+      one. A naive value is read in the session time zone, which is the
+      one ``F.lit`` uses while the session keeps its default;
+    * numpy scalars as their Python value, typed like ``F.lit`` types them:
+      ``np.int8``…``np.int64`` as TINYINT…BIGINT, ``np.float32`` as FLOAT.
+
+    Raises ``ValueError`` for any other value, and for an integer or a
+    Decimal that Spark cannot hold as a literal."""
+    if isinstance(v, np.generic):
+        if isinstance(v, np.signedinteger) and v.dtype.itemsize in _INT_SUFFIX:
+            return f"{int(v)}{_INT_SUFFIX[v.dtype.itemsize]}"
+        if isinstance(v, np.float32):
+            return f"CAST({sql_literal(float(v))} AS FLOAT)"
+        if not isinstance(v, (np.float64, np.bool_, np.str_)):
+            raise ValueError(f"no Spark SQL literal for {v!r} ({type(v).__name__})")
+        v = v.item()
+    if v is None:
+        return "NULL"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"integer {v} does not fit in a Spark BIGINT")
+        return str(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return f"{v!r}D"
+        name = "NaN" if math.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
+        return f"CAST('{name}' AS DOUBLE)"
+    if isinstance(v, Decimal):
+        if not v.is_finite():
+            raise ValueError(f"no Spark SQL literal for {v!r}")
+        return f"{v}BD"
+    if isinstance(v, str):
+        for char, escape in (("\\", "\\\\"), ("'", "\\'"), ("$", "\\u0024")):
+            v = v.replace(char, escape)
+        return f"'{v}'"
+    if isinstance(v, datetime):
+        return f"TIMESTAMP '{datetime.isoformat(v, ' ', 'microseconds')}'"
+    if isinstance(v, date):
+        return f"DATE '{v.isoformat()}'"
+    raise ValueError(f"no Spark SQL literal for {v!r} ({type(v).__name__})")
 
 
 def split_ref(ref: str) -> tuple[str, str]:
@@ -37,7 +116,9 @@ class AggQuery:
 
     ``tables``     — (relation, alias) pairs in the FROM clause.
     ``join_conds`` — equality pairs of alias-qualified attrs.
-    ``filters``    — (alias-qualified attr, constant) equality selections.
+    ``filters``    — (alias-qualified attr, constant) equality selections;
+                     a constant is a ``str``, an ``int``, a ``bool`` or a
+                     finite ``float`` (see :meth:`_literal`).
     ``group_by``   — (alias-qualified attr, output name) pairs.
     ``agg``        — SQL aggregate expression, e.g. ``"count(*)"`` or
                      ``"avg(pgs.points)"``.
@@ -64,6 +145,8 @@ class AggQuery:
                     f"attribute reference {ref!r}: alias {alias!r} is not in "
                     f"FROM (aliases {aliases})"
                 )
+        for ref, v in self.filters:
+            self._literal(ref, v)
 
     # ---- helpers ------------------------------------------------------
     @property
@@ -80,14 +163,24 @@ class AggQuery:
     def group_output_names(self) -> tuple[str, ...]:
         return tuple(out for _, out in self.group_by)
 
-    def _literal(self, v: object) -> str:
+    @staticmethod
+    def _literal(ref: str, v: object) -> str:
+        """The filter constant ``ref = v`` as SQL text that Spark and DuckDB
+        read alike. Other types have no such text here: ``str()`` of a date
+        is integer arithmetic (``2015-01-02``), and of None or NaN an
+        identifier, so they raise ``ValueError``."""
         if isinstance(v, str):
             return "'" + v.replace("'", "''") + "'"
-        return str(v)
+        if isinstance(v, int) or (isinstance(v, float) and math.isfinite(v)):
+            return str(v)  # bool is an int: True / False
+        raise ValueError(
+            f"filter {ref} = {v!r}: a filter constant must be a str, an int, "
+            f"a bool or a finite float, not {type(v).__name__}"
+        )
 
     def where_sql(self) -> str:
         conds = [f"{l} = {r}" for l, r in self.join_conds]
-        conds += [f"{a} = {self._literal(v)}" for a, v in self.filters]
+        conds += [f"{a} = {self._literal(a, v)}" for a, v in self.filters]
         return " AND ".join(conds) if conds else "1 = 1"
 
     def from_sql(self) -> str:

@@ -620,20 +620,20 @@ def _side_cases(draw):
 def test_pandas_side_equals_spark_side_col(spark, case):
     """``brute_force_support``, the reference both scorers are checked
     against, splits sides with ``pandas_side`` over Arrow-converted group
-    columns; it must agree with ``side_col``, the rule the pipeline runs."""
+    columns; it must agree with ``side_sql``, the rule the pipeline runs."""
     import numpy as np
     import pandas as pd
 
-    from repro.core.metrics import pandas_side, side_col
+    from repro.core.metrics import pandas_side, side_sql
 
     schema, rows, cols, questions = case
     # From pandas: Arrow, no Python worker (~10x faster than a row list).
     df = spark.createDataFrame(pd.DataFrame(rows, columns=list(cols)), schema)
     sides = [
-        side_col(cols, t1, t2).alias(f"s{j}")
+        f"{side_sql(cols, t1, t2)} AS s{j}"
         for j, (t1, t2) in enumerate(questions)
     ]
-    table = df.select(*cols, *sides).toArrow()  # rows keep their order
+    table = df.selectExpr(*cols, *sides).toArrow()  # rows keep their order
     groups = table.select(list(cols)).to_pandas(date_as_object=True)
     for j, (t1, t2) in enumerate(questions):
         want = table.column(f"s{j}").fill_null(0).to_numpy()

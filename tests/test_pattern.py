@@ -103,5 +103,5 @@ def test_spark_column_matches_pandas(spark, pdf):
         Pattern(),
     ]
     for p in pats:
-        got = sdf.filter(p.to_column()).count()
+        got = sdf.filter(p.to_sql()).count()
         assert got == int(p.pandas_mask(pdf).sum()), p.describe()

@@ -158,3 +158,29 @@ def test_adding_a_table_drops_the_memo(spark, toy_db, toy_query):
     assert compute_pt(db, toy_query) is pt
     db.add("game", toy_db.df("game").filter("year > 2012"), toy_db.pk("game"))
     assert compute_pt(db, toy_query).n_rows == 3
+
+
+def test_pt_ids_independent_of_shuffle_partitions(spark, mimic_db):
+    """PT's ``__pt_id`` numbers the same tuples under any number of shuffle
+    partitions: PT (a join, then the window that numbers its rows) is
+    recomputed under each count and the tuple of every id compared."""
+    from repro.workload import Q_MIMIC5
+
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    frames = {}
+    try:
+        for n in ("1", "7", "64"):
+            spark.conf.set(key, n)
+            # A cached PT would serve this count's identical plan.
+            stale = mimic_db.pts.pop(Q_MIMIC5, None)
+            if stale is not None:
+                stale.df.unpersist(blocking=True)
+            pt = compute_pt(mimic_db, Q_MIMIC5)
+            frames[n] = pt.df.toPandas().sort_values(PT_ID, ignore_index=True)
+    finally:
+        spark.conf.set(key, saved)
+    want = frames["64"]
+    assert want[PT_ID].tolist() == list(range(1, len(want) + 1))
+    for n in ("1", "7"):
+        assert frames[n].equals(want), f"{key}={n}"

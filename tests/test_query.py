@@ -1,4 +1,6 @@
 """AggQuery model + SQL rendering, checked against the DuckDB oracle."""
+import datetime as dt
+
 import pytest
 
 from repro.oracle import assert_equivalent
@@ -94,3 +96,22 @@ def test_join_query_against_oracle(toy_db, toy_frames):
         game=game,
         player_game_scoring=pgs,
     )
+
+
+@pytest.mark.parametrize(
+    "value", [dt.date(2015, 1, 2), None, float("nan")], ids=["date", "none", "nan"]
+)
+def test_filter_constant_without_sql_text_raises(value):
+    """``str()`` of a date is integer arithmetic in SQL (``2015-01-02``), and
+    of None or NaN an identifier, which Spark and the DuckDB oracle would
+    read alike, so such a filter fails when the query is built."""
+    with pytest.raises(ValueError, match=r"filter g\.day = "):
+        AggQuery(tables=(("game", "g"),), filters=(("g.day", value),))
+
+
+def test_filter_constants_render_for_spark_and_duckdb():
+    q = AggQuery(
+        tables=(("game", "g"),),
+        filters=(("g.winner", "GSW"), ("g.year", 2016), ("g.home_pts", 1.5)),
+    )
+    assert q.where_sql() == "g.winner = 'GSW' AND g.year = 2016 AND g.home_pts = 1.5"
