@@ -25,7 +25,9 @@ Spark jobs, the py4j calls made while building plans (inside
 the actions run there), the call-site captures PySpark made (one per
 ``Column``-API call: ``F.col``, Column operators, …; counted by wrapping
 ``pyspark.errors.utils._capture_call_site`` here, not in the program), the
-"Materialize APTs" and "JG Enum." step seconds, and the join graphs mined.
+wall seconds spent building the collect plan in ``metrics._prepared``
+(timed by wrapping it here), the "Materialize APTs" and "JG Enum." step
+seconds, and the join graphs mined.
 After the three calls it prints the process's Python peak RSS
 (``ru_maxrss``): the first capture in a process imports IPython.
 
@@ -48,7 +50,7 @@ ACTIONS = ("count", "collect", "toPandas", "toArrow")
 
 class Probe:
     """Counts the actions, jobs, plan-building py4j calls and call-site
-    captures of a call."""
+    captures of a call, and times its ``metrics._prepared``."""
 
     def __init__(self, spark) -> None:
         import pyspark.errors.utils
@@ -62,6 +64,7 @@ class Probe:
         self.actions: Counter = Counter()
         self.py4j = 0
         self.captures = 0
+        self.prepared_s = 0.0
         self._depth = 0      # open actions
         self._building = 0   # open plan-building functions
         client = sc._gateway._gateway_client
@@ -83,11 +86,12 @@ class Probe:
         cls = type(spark.range(1))
         for name in ACTIONS:
             setattr(cls, name, self._action(name, getattr(cls, name)))
-        for module, name in (
-            (repro.core.explain, "compute_pt"),
-            (repro.core.metrics, "_prepared"),
-        ):
-            setattr(module, name, self._building_in(getattr(module, name)))
+        repro.core.explain.compute_pt = self._building_in(
+            repro.core.explain.compute_pt
+        )
+        repro.core.metrics._prepared = self._timed(
+            self._building_in(repro.core.metrics._prepared)
+        )
 
     def _action(self, name, fn):
         def wrapped(*args, **kwargs):
@@ -110,6 +114,16 @@ class Probe:
 
         return wrapped
 
+    def _timed(self, fn):
+        def wrapped(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.prepared_s += time.perf_counter() - t0
+
+        return wrapped
+
     def last_job_id(self) -> int:
         self._bus.waitUntilEmpty()
         return max(self._tracker.getJobIdsForGroup(None) or [-1])
@@ -118,6 +132,7 @@ class Probe:
         self.actions.clear()
         self.py4j = 0
         self.captures = 0
+        self.prepared_s = 0.0
 
 
 def start_spark():
@@ -178,7 +193,7 @@ def main(argv=None) -> int:
                 f"{sum(probe.actions.values())} {dict(probe.actions)} | jobs "
                 f"{probe.last_job_id() - jobs} | plan py4j calls "
                 f"{probe.py4j} | call-site captures {probe.captures} | "
-                f"Materialize APTs "
+                f"_prepared {probe.prepared_s:.2f} s | Materialize APTs "
                 f"{times.get('Materialize APTs', 0.0):.2f} s | JG Enum. "
                 f"{times.get('JG Enum.', 0.0):.2f} s | mined "
                 f"{res.n_mined}/{res.n_join_graphs} | explanations "

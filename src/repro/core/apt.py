@@ -55,8 +55,8 @@ class APT:
     context_cols: tuple[str, ...]   # surviving context attribute columns
     group_prov_cols: tuple[str, ...] = ()  # prov_* twins of group-by attrs
     group_attr_names: tuple[str, ...] = ()  # base attr names used in grouping
-    # context col → (relation, base attr)
-    col_source: dict[str, tuple[str, str]] = field(default_factory=dict)
+    # context col → its base attr
+    col_source: dict[str, str] = field(default_factory=dict)
 
     @property
     def pattern_cols(self) -> tuple[str, ...]:
@@ -67,7 +67,7 @@ class APT:
         banned = set(self.group_cols) | set(self.group_prov_cols)
         banned |= {
             c
-            for c, (_, attr) in self.col_source.items()
+            for c, attr in self.col_source.items()
             if attr in set(self.group_attr_names)
         }
         return tuple(
@@ -121,7 +121,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
     df = pt.df
     joined = {PT_NODE}
     context_cols: list[str] = []
-    col_source: dict[str, tuple[str, str]] = {}
+    col_source: dict[str, str] = {}
     dropped: list[str] = []
     edges = deque(jg.edges)
     stall = 0
@@ -154,7 +154,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
             if size is not None and size < BROADCAST_MAX_BYTES:
                 right = right.hint("broadcast")
             context_cols.extend(f"{pfx}_{a}" for a in db.attrs(rel))
-            col_source.update({f"{pfx}_{a}": (rel, a) for a in db.attrs(rel)})
+            col_source.update({f"{pfx}_{a}": a for a in db.attrs(rel)})
             # The new node's join keys equal the other side — drop them.
             dropped.extend(
                 _side_col(e.n1, e.rel1, la, prefixes)

@@ -77,7 +77,7 @@ def explain(
     mined: dict[int, MineResult] = {}
     all_expl: list[Explanation] = []
     for i, jg in valid:
-        res = mine_apt(db, pt, jg, t1, t2, params, sides)
+        res = mine_apt(jg, params, sides)
         mined[i] = res
         all_expl.extend(res.explanations)
         timer.merge(res.timer)

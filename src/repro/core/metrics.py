@@ -16,11 +16,13 @@ with one Arrow action, PT's rows on them and each join graph's APT
 projection built on those rows. On a question's first call that action
 also materialises PT's cache (``compute_pt`` runs none). Its Spark plan
 is built from SQL text in a few coarse DataFrame operations (one
-projection per union branch, positional unions) and memoised on the
+projection per union branch, unions by name) and memoised on the
 ``ProvenanceTable``, so a repeated question re-runs the same DataFrame and
-Spark skips the stages that already ran. The driver gives each collected
-row its side and λ_F1-samp flag by ``__pt_id`` from PT's rows, counts the
-side sizes there, and ``SupportEvaluator`` scores the bound projections.
+Spark skips the stages that already ran. Spark binds the question: every
+collected row carries the side and λ_F1-samp draw of its PT tuple, which
+the sided PT gave it before the APT joins. ``collect_question`` counts
+the side sizes on PT's rows, and ``SupportEvaluator`` scores the
+projections.
 ``compute_support`` scores patterns with batched Spark aggregations,
 without collecting the APT. No pipeline or experiment calls it: it is the
 reference for reported supports that the tests, the benchmark's output
@@ -40,7 +42,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame
-from pyspark.sql.types import LongType
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import PT_ID, ProvenanceTable
@@ -235,17 +236,6 @@ class QuestionSides:
         return replace(self.source, df=sided, known_rows=self.n1 + self.n2)
 
 
-def question_sides(
-    pt: ProvenanceTable,
-    t1: dict[str, object],
-    t2: dict[str, object] | None,
-    f1_samp: float | None = None,
-    seed: int = 0,
-) -> QuestionSides:
-    """:func:`collect_question` without join graphs: the side sizes only."""
-    return collect_question(None, pt, (), t1, t2, f1_samp, seed)
-
-
 def _prepared(
     db: Database | None,
     pt: ProvenanceTable,
@@ -254,18 +244,18 @@ def _prepared(
     t2: dict[str, object] | None,
     seed: int,
 ) -> tuple[DataFrame, list[APT]]:
-    """The collect plan of a question over ``graphs``: a positional union
-    of PT's rows on the question's sides (``__pt_id``, ``__side`` and the
+    """The collect plan of a question over ``graphs``: a union by name of
+    PT's rows on the question's sides (``__pt_id``, ``__side`` and the
     λ_F1-samp draw ``__bucket``; ``__g`` = -1) and each graph's APT, built
-    on those rows, projected on ``__pt_id``, its pattern columns and
-    ``__hash`` (``__g`` = the graph's index).
+    on those rows, projected on the same three columns, its pattern columns
+    and ``__hash`` (``__g`` = the graph's index).
 
     The sided PT is one projection plus a filter (:func:`_with_side`), and
-    each union branch one projection over the union's columns: a column
-    the branch lacks is a NULL cast to its type, taken from the sided PT's
-    or the context relation's schema. The last plan built over ``pt`` is
-    memoised on it. Re-running that DataFrame reuses its physical plan, so
-    Spark skips the shuffle stages an earlier run already wrote."""
+    each union branch one projection of its own columns: ``unionByName``
+    pads a column a branch lacks with a NULL of its type. The last plan
+    built over ``pt`` is memoised on it. Re-running that DataFrame reuses
+    its physical plan, so Spark skips the shuffle stages an earlier run
+    already wrote."""
     key = (graphs, seed, repr(t1), repr(t2))
     if pt.prepared is None or pt.prepared[0] != key:
         sided = _with_side(
@@ -274,29 +264,20 @@ def _prepared(
         )
         base = replace(pt, df=sided, known_rows=None)
         apts = [materialize_apt(db, base, jg) for jg in graphs]
-        types = {f.name: f.dataType for f in sided.schema}
-        for apt in apts:
-            types.update(
-                (c, db.df(rel).schema[attr].dataType)
-                for c, (rel, attr) in apt.col_source.items()
+        tuple_cols = [quote(c) for c in (PT_ID, SIDE, BUCKET)]
+        branches = [sided.selectExpr(*tuple_cols, f"-1 AS {quote(GRAPH)}")] + [
+            apt.df.selectExpr(
+                *tuple_cols,
+                *[quote(c) for c in apt.pattern_cols],
+                f"{_row_hash(apt.pattern_cols, seed)} AS {quote(ROW_HASH)}",
+                f"{i} AS {quote(GRAPH)}",
             )
-        types[ROW_HASH] = LongType()
-        # Each branch's own columns, as column → SQL expression.
-        owns = [{c: quote(c) for c in (PT_ID, SIDE, BUCKET)}] + [
-            {c: quote(c) for c in (PT_ID, *apt.pattern_cols)}
-            | {ROW_HASH: _row_hash(apt.pattern_cols, seed)}
-            for apt in apts
+            for i, apt in enumerate(apts)
         ]
-        cols = list(dict.fromkeys(c for own in owns for c in own))
-        branches = [
-            df.selectExpr(*[
-                f"{own[c]} AS {quote(c)}" if c in own
-                else f"CAST(NULL AS {types[c].simpleString()}) AS {quote(c)}"
-                for c in cols
-            ], f"{i - 1} AS {quote(GRAPH)}")
-            for i, (df, own) in enumerate(zip([sided] + [a.df for a in apts], owns))
-        ]
-        pt.prepared = (key, (reduce(DataFrame.union, branches), apts))
+        union = reduce(
+            lambda a, b: a.unionByName(b, allowMissingColumns=True), branches
+        )
+        pt.prepared = (key, (union, apts))
     return pt.prepared[1]
 
 
@@ -311,12 +292,13 @@ def collect_question(
 ) -> QuestionSides:
     """Split PT into the question's sides and collect the APT projection of
     every join graph in ``graphs`` (over ``db``), with one Spark action.
+    With no graphs, it gives the side sizes only.
 
     The action is one Arrow collect of the question's plan
     (:func:`_prepared`), memoised on ``pt`` for a repeated question. Its
-    table is split per ``__g`` in Arrow. PT's branch gives the side sizes
-    and, per ``__pt_id``, the side and the λ_F1-samp flag, which each
-    graph's rows take by their ``__pt_id`` before any pandas conversion. A
+    table is split per ``__g`` in Arrow. PT's branch gives the side sizes,
+    and every row carries its PT tuple's side and λ_F1-samp draw, so each
+    graph's ``__f1`` flag is computed before any pandas conversion. A
     column missing from a branch is NULL on that branch's rows, so a pandas
     frame of the whole union would turn every such integer column into
     float64, ``__hash`` included.
@@ -342,11 +324,6 @@ def collect_question(
             else f"every provenance tuple belongs to t1={t1}: "
             "PT(Q, D) \\ PT(Q, D, t1) is empty"
         )
-    # __pt_id is a dense row number, so per-tuple values index by it.
-    ids = lead.column(PT_ID).to_numpy()
-    side_by_id = np.zeros(ids.max() + 1, dtype=np.int32)
-    side_by_id[ids] = side
-    flag_by_id = np.ones(len(side_by_id), dtype=bool)
     threshold = _f1_threshold(f1_samp)
     if threshold is not None:
         flag = lead.column(BUCKET).to_numpy() < threshold
@@ -356,14 +333,15 @@ def collect_question(
             threshold = None
         else:
             n1, n2 = s1, s2
-            flag_by_id[ids] = flag
     collected = {}
     for i, (jg, apt) in enumerate(zip(graphs, apts)):
-        part = branch(i).select([PT_ID, *apt.pattern_cols, ROW_HASH])
-        ids = part.column(PT_ID).to_numpy()
-        part = part.add_column(1, SIDE, pa.array(side_by_id[ids])).add_column(
-            2, F1_FLAG, pa.array(flag_by_id[ids])
+        part = branch(i)
+        flag = (
+            pc.less(part.column(BUCKET), threshold) if threshold is not None
+            else pa.array(np.ones(len(part), dtype=bool))
         )
+        part = part.select([PT_ID, SIDE, *apt.pattern_cols, ROW_HASH])
+        part = part.add_column(2, F1_FLAG, flag)
         # The options DataFrame.toPandas passes, so a frame equals the
         # graph's own apt_projection(...).toPandas().
         collected[jg] = (
@@ -391,7 +369,7 @@ def _row_hash(cols: Sequence[str], seed: int) -> str:
 def apt_projection(apt: APT, cols: Iterable[str], seed: int = 0) -> DataFrame:
     """What mining reads of an APT built on :attr:`QuestionSides.pt`:
     (``__pt_id``, ``__side``, ``__f1``, ``cols``, ``__hash``).
-    ``collect_question`` returns the same rows, bound on the driver."""
+    ``collect_question`` returns the same rows from its one collect."""
     cols = list(cols)
     return apt.df.selectExpr(
         *[quote(c) for c in (PT_ID, SIDE, F1_FLAG, *cols)],

@@ -1,15 +1,17 @@
 """MineAPT (Algorithm 1): top-k pattern mining for one join graph.
 
 Phases, each timed under the step names the paper's runtime-breakdown
-tables use (Fig. 7/7a/9c/9d):
+tables use (Fig. 7/7a/9c/9d). ``explain`` times the first once for all
+join graphs; ``mine_apt`` times the others per graph:
 
-  Materialize APTs   — the APT projection of Ω (``__pt_id``, side,
-                       F-score-sample flag, pattern columns, content
-                       hash) from ``collect_question``: one Arrow collect
-                       of PT's rows on the question's sides and every
-                       join graph ``explain`` mines, with a plan memoised
-                       on PT. A repeated question re-runs that plan
-                       instead of building one.
+  Materialize APTs   — ``metrics.collect_question``: one Arrow collect of
+                       PT's rows on the question's sides and the APT
+                       projection of every join graph ``explain`` mines
+                       (``__pt_id``, side, F-score-sample flag, pattern
+                       columns, content hash; the side and the sample draw
+                       come from the sided PT the APT is built on), with a
+                       plan memoised on PT. A repeated question re-runs
+                       that plan instead of building one.
   Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
   Sampling for F1    — keep the collected rows of the deterministic PT-tuple
@@ -37,8 +39,7 @@ from dataclasses import dataclass
 
 import pandas as pd
 
-from repro.substrate.catalog import Database
-from repro.substrate.provenance import PT_ID, ProvenanceTable
+from repro.substrate.provenance import PT_ID
 from repro.core.config import CajadeParams
 from repro.core.feature_selection import filter_attrs
 from repro.core.join_graph import JoinGraph
@@ -50,7 +51,6 @@ from repro.core.metrics import (
     QuestionSides,
     Support,
     SupportEvaluator,
-    collect_question,
 )
 from repro.core.pattern import Pattern
 from repro.core.refine import numeric_fragments, refinements
@@ -153,23 +153,12 @@ def _mining_sample(proj: pd.DataFrame, rate: float, cap: int) -> pd.DataFrame:
 
 
 def mine_apt(
-    db: Database,
-    pt: ProvenanceTable,
-    jg: JoinGraph,
-    t1: dict[str, object],
-    t2: dict[str, object] | None,
-    params: CajadeParams,
-    sides: QuestionSides | None = None,
+    jg: JoinGraph, params: CajadeParams, sides: QuestionSides
 ) -> MineResult:
-    """MineAPT for ``jg``. ``sides`` is :func:`collect_question` of ``pt``
-    over graphs including ``jg``; ``explain`` collects it once for all join
-    graphs."""
+    """MineAPT for ``jg``. ``sides`` is ``metrics.collect_question`` of the
+    user question over graphs including ``jg``; ``explain`` collects it once
+    for all join graphs, with ``params.f1_samp`` and ``params.seed``."""
     timer = StepTimer()
-    if sides is None:
-        with timer.step("Materialize APTs"):
-            sides = collect_question(
-                db, pt, [jg], t1, t2, params.f1_samp, params.seed
-            )
     apt, proj = sides.collected[jg]
     apt_rows = len(proj)
     if apt_rows == 0:

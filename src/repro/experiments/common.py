@@ -56,7 +56,8 @@ def driver_evaluator(
     db: Database, pt: ProvenanceTable, jg: JoinGraph, uq: UserQuestion
 ) -> SupportEvaluator:
     """Exact supports for ``uq`` over APT(Ω), evaluated on the driver after
-    one collect of the APT's projection (as ``mine_apt`` does)."""
+    one collect of the APT's projection (as ``explain`` collects it for
+    ``mine_apt``)."""
     sides = collect_question(db, pt, [jg], uq.t1, uq.t2)
     _, pdf = sides.collected[jg]
     return SupportEvaluator(pdf, sides.n1, sides.n2)

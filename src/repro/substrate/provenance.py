@@ -91,7 +91,7 @@ def compute_pt(db: Database, query: AggQuery) -> ProvenanceTable:
     when ``n_rows`` is read. PT is one projection of the query's filtered
     join: each ``alias.attr`` as its prov_* column (every identifier
     backtick-quoted), the group-by output columns, and ``__pt_id``. The
-    filter is the query's own WHERE text (``AggQuery.where_sql``).
+    filter is the query's own WHERE text for Spark (``AggQuery.where_sql``).
 
     PT is built from ``db``'s DataFrames, not from temp views: replacing a
     view (``AggQuery.result`` on another Database with the same table
@@ -128,7 +128,7 @@ def compute_pt(db: Database, query: AggQuery) -> ProvenanceTable:
     frames = [db.df(rel).alias(alias) for rel, alias in query.tables]
     df = (
         reduce(DataFrame.join, frames)
-        .filter(query.where_sql())
+        .filter(query.where_sql(spark=True))
         .selectExpr(
             *[f"{e} AS {quote(o)}" for e, o in zip(exprs, outs)], pt_id
         )

@@ -2,9 +2,10 @@
 
 This is the query class the paper supports (§2): equi-joins plus constant
 selections, one aggregate expression, group-by. A query is a declarative
-spec; :meth:`AggQuery.to_sql` renders identical SQL for both Spark
-(Catalyst, via temp views) and the DuckDB oracle, and the provenance
-substrate reuses the same FROM/WHERE block to build `PT(Q, D)`.
+spec; :meth:`AggQuery.to_sql` renders its SQL for Spark (Catalyst, via temp
+views) and for the DuckDB oracle, the same text but for the filter
+constants, and the provenance substrate reuses the Spark FROM/WHERE block
+to build `PT(Q, D)`.
 
 Attribute references are written ``alias.attr`` throughout.
 
@@ -164,33 +165,41 @@ class AggQuery:
         return tuple(out for _, out in self.group_by)
 
     @staticmethod
-    def _literal(ref: str, v: object) -> str:
-        """The filter constant ``ref = v`` as SQL text that Spark and DuckDB
-        read alike. Other types have no such text here: ``str()`` of a date
-        is integer arithmetic (``2015-01-02``), and of None or NaN an
+    def _literal(ref: str, v: object, spark: bool = False) -> str:
+        """The filter constant ``ref = v`` as SQL text: for Spark as
+        :func:`sql_literal` renders it, else for DuckDB, with a ``str``'s
+        quotes doubled. The two differ because Spark's parser also reads
+        backslash escapes and substitutes ``${…}`` variables, which DuckDB
+        reads literally. Other types have no such text here: ``str()`` of a
+        date is integer arithmetic (``2015-01-02``), and of None or NaN an
         identifier, so they raise ``ValueError``."""
-        if isinstance(v, str):
-            return "'" + v.replace("'", "''") + "'"
-        if isinstance(v, int) or (isinstance(v, float) and math.isfinite(v)):
+        if isinstance(v, (str, int)) or (isinstance(v, float) and math.isfinite(v)):
+            if spark:
+                return sql_literal(v)
+            if isinstance(v, str):
+                return "'" + v.replace("'", "''") + "'"
             return str(v)  # bool is an int: True / False
         raise ValueError(
             f"filter {ref} = {v!r}: a filter constant must be a str, an int, "
             f"a bool or a finite float, not {type(v).__name__}"
         )
 
-    def where_sql(self) -> str:
+    def where_sql(self, spark: bool = False) -> str:
+        """The WHERE condition, as DuckDB text or, with ``spark``, as Spark
+        text (see :meth:`_literal`)."""
         conds = [f"{l} = {r}" for l, r in self.join_conds]
-        conds += [f"{a} = {self._literal(a, v)}" for a, v in self.filters]
+        conds += [f"{a} = {self._literal(a, v, spark)}" for a, v in self.filters]
         return " AND ".join(conds) if conds else "1 = 1"
 
     def from_sql(self) -> str:
         return ", ".join(f"{rel} {alias}" for rel, alias in self.tables)
 
-    def to_sql(self) -> str:
-        """The full aggregate query (identical text for Spark and DuckDB)."""
+    def to_sql(self, spark: bool = False) -> str:
+        """The full aggregate query, as DuckDB text or, with ``spark``, as
+        Spark text: the two differ only in their filter constants."""
         group_exprs = [f"{ref} AS {out}" for ref, out in self.group_by]
         select = ", ".join(group_exprs + [f"{self.agg} AS {self.agg_alias}"])
-        sql = f"SELECT {select} FROM {self.from_sql()} WHERE {self.where_sql()}"
+        sql = f"SELECT {select} FROM {self.from_sql()} WHERE {self.where_sql(spark)}"
         if self.group_by:
             sql += " GROUP BY " + ", ".join(ref for ref, _ in self.group_by)
         return sql
@@ -198,4 +207,4 @@ class AggQuery:
     def result(self, db: Database) -> DataFrame:
         """Evaluate ``Q(D)`` through Catalyst."""
         db.create_views()
-        return db.spark.sql(self.to_sql())
+        return db.spark.sql(self.to_sql(spark=True))

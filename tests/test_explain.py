@@ -40,6 +40,14 @@ def test_timer_includes_jg_enum(toy_result):
     assert "JG Enum." in toy_result.timer.times
 
 
+def test_timer_includes_the_collect_and_every_mining_step(toy_result):
+    """``explain`` bills the one collect to "Materialize APTs"; each mined
+    graph adds its own steps."""
+    from repro.core.mine import STEP_NAMES
+
+    assert set(STEP_NAMES) <= set(toy_result.timer.times)
+
+
 def test_top_explanation_is_meaningful(toy_result):
     top = toy_result.explanations[0]
     assert top.fscore > 0.5
@@ -191,7 +199,7 @@ def test_reported_supports_match_fresh_apts(
     mimic_db, mimic_result, t2, job_counter
 ):
     from repro.core.apt import materialize_apt
-    from repro.core.metrics import compute_support, question_sides
+    from repro.core.metrics import collect_question, compute_support
     from repro.workload import UQ_MIMIC4 as uq
 
     if t2:
@@ -203,8 +211,8 @@ def test_reported_supports_match_fresh_apts(
         res = _mimic_explain(mimic_db, t2=None)
         assert job_counter() - before == 1
     t2_ = uq.t2 if t2 else None
-    f1 = question_sides(
-        res.pt, uq.t1, t2_, MIMIC_PARAMS.f1_samp, MIMIC_PARAMS.seed
+    f1 = collect_question(
+        None, res.pt, (), uq.t1, t2_, MIMIC_PARAMS.f1_samp, MIMIC_PARAMS.seed
     ).f1_samp
     assert f1 == MIMIC_PARAMS.f1_samp
     by_graph = {}

@@ -12,9 +12,9 @@ from repro.core.metrics import (
     SupportEvaluator,
     apt_projection,
     brute_force_support,
+    collect_question,
     compute_support,
     pt_sizes,
-    question_sides,
 )
 from repro.core.pattern import Pattern, Predicate
 from repro.core.schema_graph import fk_cond
@@ -155,7 +155,7 @@ def test_evaluator_matches_spark(apt, toy_db, toy_pt):
         P(("player_game_scoring_player", "=", "D. Green")),
     ]
     attrs = ["player_game_scoring_player", "player_game_scoring_pts"]
-    sides = question_sides(toy_pt, T1, T2)
+    sides = collect_question(None, toy_pt, (), T1, T2)
     sided = materialize_apt(toy_db, sides.pt, apt.jg)
     ev = SupportEvaluator(
         apt_projection(sided, attrs).toPandas(), sides.n1, sides.n2
@@ -178,7 +178,7 @@ def test_evaluator_matches_spark_under_f1_sampling(apt, toy_db, toy_pt):
         Pattern(),
     ]
     attrs = ["player_game_scoring_player", "player_game_scoring_pts"]
-    sides = question_sides(toy_pt, T1, T2, f1_samp=0.5, seed=2)
+    sides = collect_question(None, toy_pt, (), T1, T2, f1_samp=0.5, seed=2)
     assert (sides.n1, sides.n2, sides.f1_samp) == (2, 1, 0.5)
     sided = materialize_apt(toy_db, sides.pt, apt.jg)
     ev = SupportEvaluator(
@@ -277,7 +277,7 @@ def test_null_group_value_sides_agree(null_group_pt, t1, t2, sizes):
         brute_force_support(apt_pdf, pt_pdf, ("season",), p, t1, t2)
         for p in pats
     ]
-    sides = question_sides(pt, t1, t2)
+    sides = collect_question(None, pt, (), t1, t2)
     sided = materialize_apt(db, sides.pt, empty_join_graph())
     ev = SupportEvaluator(
         apt_projection(sided, ["prov_null_game_pts"]).toPandas(),
@@ -292,13 +292,13 @@ def test_null_group_value_sides_agree(null_group_pt, t1, t2, sizes):
 
 def test_question_sides_fall_back_to_exact_when_sample_misses_a_side(toy_pt):
     # Side 2 has one PT tuple; a tiny rate misses it, so every tuple counts.
-    sides = question_sides(toy_pt, T1, T2, f1_samp=0.0001, seed=0)
+    sides = collect_question(None, toy_pt, (), T1, T2, f1_samp=0.0001, seed=0)
     assert (sides.n1, sides.n2, sides.f1_samp) == (3, 1, None)
     assert sides.pt.df.filter("__f1").count() == 4
 
 
 def test_question_sides_restrict_pt_to_the_two_sides(toy_pt):
-    sides = question_sides(toy_pt, T1, T2)
+    sides = collect_question(None, toy_pt, (), T1, T2)
     assert sides.pt.n_rows == 4
     rows = sides.pt.df.select("season", "__side").distinct().collect()
     assert {(r["season"], r["__side"]) for r in rows} == {
@@ -368,6 +368,41 @@ def test_collected_frames_equal_each_graph_own_collect(split_db, f1_samp):
         want = apt_projection(apt, apt.pattern_cols, seed=5).toPandas()
         got = sides.collected[jg][1]
         assert got[ROW_HASH].dtype == "int64"
+
+        def ordered(pdf):
+            return pdf.sort_values([ROW_HASH, PT_ID]).reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(ordered(got), ordered(want))
+
+
+@pytest.mark.parametrize("f1_samp", [None, 0.5])
+def test_collected_frames_do_not_need_dense_pt_ids(apt, toy_db, toy_pt, f1_samp):
+    """With PT tuple ids that are a content hash (sparse, and negative for
+    some tuples), every collected frame still equals its graph's own
+    collect: a row's side and sample draw come with the row."""
+    from dataclasses import replace
+
+    import pandas as pd
+
+    from repro.core.join_graph import empty_join_graph
+    from repro.core.metrics import ROW_HASH
+    from repro.substrate.query import quote
+
+    cols = [quote(c) for c in toy_pt.df.columns if c != PT_ID]
+    hashed = replace(toy_pt, df=toy_pt.df.selectExpr(
+        *cols, f"xxhash64({quote(PT_ID)}) AS {quote(PT_ID)}"
+    ))
+    ids = [r[PT_ID] for r in hashed.df.select(PT_ID).collect()]
+    assert min(ids) < 0 < max(ids) and len(set(ids)) == len(ids) == 4
+    graphs = [apt.jg, empty_join_graph()]
+    # At rate 0.5 and seed 3 the sample keeps 1 of side 1's 3 tuples and
+    # side 2's one tuple.
+    sides = collect_question(toy_db, hashed, graphs, T1, T2, f1_samp, seed=3)
+    assert (sides.n1, sides.n2) == ((3, 1) if f1_samp is None else (1, 1))
+    for jg in graphs:
+        sided = materialize_apt(toy_db, sides.pt, jg)
+        want = apt_projection(sided, sided.pattern_cols, seed=3).toPandas()
+        got = sides.collected[jg][1]
 
         def ordered(pdf):
             return pdf.sort_values([ROW_HASH, PT_ID]).reset_index(drop=True)

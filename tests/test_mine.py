@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import CajadeParams
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph, empty_join_graph
-from repro.core.metrics import F1_FLAG, ROW_HASH, SIDE
+from repro.core.metrics import F1_FLAG, ROW_HASH, SIDE, collect_question
 from repro.core.mine import (
     Explanation,
     StepTimer,
@@ -13,7 +13,7 @@ from repro.core.mine import (
     _sample_threshold,
     mine_apt,
 )
-from repro.core.schema_graph import fk_cond
+from repro.core.schema_graph import JoinCond, fk_cond
 from repro.substrate.provenance import PT_ID
 
 T1 = {"season": "2015-16"}
@@ -35,6 +35,20 @@ OMEGA1 = JoinGraph(
     ),
 )
 
+# A constant no player row holds: the APT is empty.
+NOBODY = JoinGraph(
+    nodes=((PT_NODE, None), (1, "player_game_scoring")),
+    edges=(
+        JGEdge(
+            PT_NODE,
+            1,
+            JoinCond(pairs=(("year", "year"),), consts=(("r", "player", "NOBODY"),)),
+            "game",
+            "player_game_scoring",
+        ),
+    ),
+)
+
 
 @pytest.fixture(scope="module")
 def params():
@@ -46,9 +60,19 @@ def params():
     )
 
 
+def _collect(db, pt, graphs, params):
+    return collect_question(db, pt, graphs, T1, T2, params.f1_samp, params.seed)
+
+
 @pytest.fixture(scope="module")
-def result(toy_db, toy_pt, params):
-    return mine_apt(toy_db, toy_pt, OMEGA1, T1, T2, params)
+def sides(toy_db, toy_pt, params):
+    """One collect of every join graph the tests below mine."""
+    return _collect(toy_db, toy_pt, [OMEGA1, NOBODY, empty_join_graph()], params)
+
+
+@pytest.fixture(scope="module")
+def result(sides, params):
+    return mine_apt(OMEGA1, params, sides)
 
 
 def test_returns_explanations(result):
@@ -67,7 +91,7 @@ def test_apt_stats_recorded(result):
 
 def test_timings_cover_paper_steps(result):
     for step in (
-        "Materialize APTs", "Feature Selection", "Gen. Pat. Cand.",
+        "Feature Selection", "Gen. Pat. Cand.",
         "Sampling for F1", "F-score Calc.", "Refine Patterns",
     ):
         assert step in result.timer.times, step
@@ -89,22 +113,13 @@ def test_explanations_have_valid_fscores(result):
         assert 0.0 < e.fscore <= 1.0
 
 
-def test_empty_apt_returns_no_explanations(toy_db, toy_pt, params):
-    from repro.core.schema_graph import JoinCond
-
-    cond = JoinCond(
-        pairs=(("year", "year"),), consts=(("r", "player", "NOBODY"),)
-    )
-    jg = JoinGraph(
-        nodes=((PT_NODE, None), (1, "player_game_scoring")),
-        edges=(JGEdge(PT_NODE, 1, cond, "game", "player_game_scoring"),),
-    )
-    res = mine_apt(toy_db, toy_pt, jg, T1, T2, params)
+def test_empty_apt_returns_no_explanations(sides, params):
+    res = mine_apt(NOBODY, params, sides)
     assert res.explanations == [] and res.apt_rows == 0
 
 
-def test_pt_only_join_graph_mines_provenance_patterns(toy_db, toy_pt, params):
-    res = mine_apt(toy_db, toy_pt, empty_join_graph(), T1, T2, params)
+def test_pt_only_join_graph_mines_provenance_patterns(sides, params):
+    res = mine_apt(empty_join_graph(), params, sides)
     for e in res.explanations:
         for p in e.pattern.preds:
             assert p.attr.startswith("prov_")
@@ -120,21 +135,6 @@ def test_step_timer_merge():
     assert a.total == 6.0
 
 
-def test_mine_apt_alone_makes_one_action(
-    toy_db, toy_pt, params, action_counter
-):
-    """Called without pre-collected sides, mine_apt gets the side sizes and
-    its graph's APT projection in one action."""
-    from repro.core.join_graph import estimate_apt_rows
-
-    for jg in (OMEGA1, empty_join_graph()):
-        estimate_apt_rows(jg, toy_db, toy_pt.n_rows)  # catalog stats, cached
-        before = action_counter["n"]
-        res = mine_apt(toy_db, toy_pt, jg, T1, T2, params)
-        assert res.explanations
-        assert action_counter["n"] - before == 1, jg.structure()
-
-
 def test_mining_the_pt_graph_keeps_the_pt_cached(
     toy_db, toy_sg, toy_query, params
 ):
@@ -144,7 +144,8 @@ def test_mining_the_pt_graph_keeps_the_pt_cached(
 
     pt = compute_pt(toy_db, toy_query)
     assert pt.df.storageLevel.useMemory
-    mine_apt(toy_db, pt, empty_join_graph(), T1, T2, params)
+    pt_only = empty_join_graph()
+    mine_apt(pt_only, params, _collect(toy_db, pt, [pt_only], params))
     assert pt.df.storageLevel.useMemory
     res = explain(toy_db, toy_sg, toy_query, T1, T2, params)
     assert res.pt.df.storageLevel.useMemory

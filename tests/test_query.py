@@ -115,3 +115,35 @@ def test_filter_constants_render_for_spark_and_duckdb():
         filters=(("g.winner", "GSW"), ("g.year", 2016), ("g.home_pts", 1.5)),
     )
     assert q.where_sql() == "g.winner = 'GSW' AND g.year = 2016 AND g.home_pts = 1.5"
+
+
+@pytest.mark.parametrize(
+    "const", ["a\\b", "it's", "${env:HOME}"], ids=["backslash", "quote", "variable"]
+)
+def test_filter_constant_selects_the_same_rows_in_spark_and_duckdb(spark, const):
+    """Spark's parser reads backslash escapes and substitutes ``${…}``
+    variables in SQL text, where DuckDB reads both literally: the query's
+    Spark result equals the oracle's, and PT holds the constant's rows."""
+    import pandas as pd
+
+    from repro.substrate.catalog import Database
+    from repro.substrate.provenance import compute_pt
+
+    frame = pd.DataFrame({
+        "id": range(6),
+        "s": [const, const, "a", "b", "ab", "it"],
+        "g": ["x", "y", "x", "y", "x", "y"],
+    })
+    db = Database(spark)
+    db.add("odd_consts", spark.createDataFrame(frame), ("id",))
+    db.cache_all()
+    q = AggQuery(
+        tables=(("odd_consts", "o"),),
+        filters=(("o.s", const),),
+        group_by=(("o.g", "g"),),
+        agg="count(*)",
+        agg_alias="c",
+    )
+    assert_equivalent(q.result(db), q.to_sql(), odd_consts=frame)
+    assert q.result(db).count() == 2
+    assert compute_pt(db, q).n_rows == 2
