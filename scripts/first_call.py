@@ -14,9 +14,10 @@ MIMIC) with ``bench_params(f1_samp=0.3)`` three times:
   cold    the first ``explain`` on the Database: PT, statistics and the
           question's collect plan are all built;
   first   the first call of the question: the PT is cached, but its
-          memoised collect plan is dropped (``pt.prepared = None``), as a
+          memoised rows are dropped (``pt.prepared = None``), as a
           new question finds it;
-  repeat  the same question again, re-running the memoised plan.
+  repeat  the same question again, served from the rows the previous
+          call memoised on PT.
 
 For each call it prints the wall time, the Spark actions (``count``,
 ``collect``, ``toPandas``, ``toArrow``; one inside another counts once), the
@@ -27,7 +28,10 @@ the actions run there), the call-site captures PySpark made (one per
 ``pyspark.errors.utils._capture_call_site`` here, not in the program), the
 wall seconds spent building the collect plan in ``metrics._prepared``
 (timed by wrapping it here), the "Materialize APTs" and "JG Enum." step
-seconds, and the join graphs mined.
+seconds, the join graphs mined, and the bytes the memo on PT holds after
+the call (``CollectedRows.nbytes``: the Arrow buffers of every graph's
+rows plus PT's side and draw arrays; "n/a" for a checkout whose memo is a
+plan).
 After the three calls it prints the process's Python peak RSS
 (``ru_maxrss``): the first capture in a process imports IPython.
 
@@ -135,6 +139,12 @@ class Probe:
         self.prepared_s = 0.0
 
 
+def memo_bytes(pt) -> str:
+    """The bytes of the rows memoised on ``pt``, or "n/a"."""
+    nbytes = getattr(pt.prepared and pt.prepared[1], "nbytes", None)
+    return "n/a" if nbytes is None else f"{nbytes / 1e6:.2f} MB"
+
+
 def start_spark():
     os.environ["PYSPARK_SUBMIT_ARGS"] = (
         "--master local[4] --driver-memory 4g "
@@ -197,7 +207,7 @@ def main(argv=None) -> int:
                 f"{times.get('Materialize APTs', 0.0):.2f} s | JG Enum. "
                 f"{times.get('JG Enum.', 0.0):.2f} s | mined "
                 f"{res.n_mined}/{res.n_join_graphs} | explanations "
-                f"{len(res.explanations)}",
+                f"{len(res.explanations)} | memo {memo_bytes(res.pt)}",
                 flush=True,
             )
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

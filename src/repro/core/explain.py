@@ -6,12 +6,14 @@ enumerates join graphs up to λ_#edges (Algorithm 2), filters them with
 ``isValid`` (PK-connectivity + estimated APT cost, with |PT| bounded from
 held row counts and counted only for a graph the bounds leave undecided),
 collects every surviving graph's APT projection over the question's two
-sides in one Spark action of a plan memoised on PT (raising ``ValueError``
-when a question tuple has no provenance), runs MineAPT per graph, and
-returns the union of per-graph top-k patterns ranked by F-score (the
-paper's global ranking, §2.5/§4). A question's first call on a fresh
-Database whose bounds decide every graph (MIMIC Q4) runs one Spark action
-in all: that collect, which also materialises PT's cache.
+sides in one Spark action (raising ``ValueError`` when a question tuple
+has no provenance), runs MineAPT per graph, and returns the union of
+per-graph top-k patterns ranked by F-score (the paper's global ranking,
+§2.5/§4). A question's first call on a fresh Database whose bounds decide
+every graph (MIMIC Q4) runs one Spark action in all: that collect, which
+also materialises PT's cache. The collected rows are memoised on PT, so
+the question asked again, at any λ_F1-samp, k, λ_pat-samp or feature
+selection, runs no Spark job.
 """
 from __future__ import annotations
 

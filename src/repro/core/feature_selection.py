@@ -109,7 +109,8 @@ def _grow_tree(
     vectorised step over the drawn features × thresholds, with the
     arithmetic of the scalar loop it replaces (kept in the tests as the
     reference): the first candidate of largest gain in (draw order,
-    ascending threshold) order wins, and only a gain > 0 splits."""
+    ascending threshold) order wins, and only a gain > 0 splits. The caller
+    silences numpy's divide and invalid warnings (:func:`rf_importance`)."""
     n = len(idx)
     if depth == 0 or n < 2 * min_leaf:
         return
@@ -124,10 +125,9 @@ def _grow_tree(
     counts = left @ w  # exact: sums of 0/1 values
     nl, sl = counts[..., 0], counts[..., 1]
     nr = n - nl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = _gini(s / n) - (
-            nl / n * _gini(sl / nl) + nr / n * _gini((s - sl) / nr)
-        )
+    gain = _gini(s / n) - (
+        nl / n * _gini(sl / nl) + nr / n * _gini((s - sl) / nr)
+    )
     gain[np.minimum(nl, nr) < min_leaf] = 0.0
     best = int(np.argmax(gain))
     fi, ti = divmod(best, len(_QUANTILES))
@@ -156,9 +156,12 @@ def rf_importance(
     rng = np.random.default_rng(seed)
     Xt = np.ascontiguousarray(X.T)
     W = np.column_stack((np.ones(n), y))
-    for _ in range(n_trees):
-        boot = rng.integers(0, n, size=n)
-        _grow_tree(Xt, W, boot, max_depth, rng, imp, n_total=n)
+    # An empty side of a threshold gives 0/0 gains, which the leaf-size
+    # rule then zeroes.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n_trees):
+            boot = rng.integers(0, n, size=n)
+            _grow_tree(Xt, W, boot, max_depth, rng, imp, n_total=n)
     return imp / n_trees
 
 

@@ -16,13 +16,13 @@ with one Arrow action, PT's rows on them and each join graph's APT
 projection built on those rows. On a question's first call that action
 also materialises PT's cache (``compute_pt`` runs none). Its Spark plan
 is built from SQL text in a few coarse DataFrame operations (one
-projection per union branch, unions by name) and memoised on the
-``ProvenanceTable``, so a repeated question re-runs the same DataFrame and
-Spark skips the stages that already ran. Spark binds the question: every
-collected row carries the side and λ_F1-samp draw of its PT tuple, which
-the sided PT gave it before the APT joins. ``collect_question`` counts
-the side sizes on PT's rows, and ``SupportEvaluator`` scores the
-projections.
+projection per union branch, a balanced tree of unions by name). The
+collected rows, split per join graph, are memoised on the
+``ProvenanceTable``, so a repeated question, at any λ_F1-samp, runs no
+Spark job. Spark binds the question: every collected row carries the side
+and λ_F1-samp draw of its PT tuple, which the sided PT gave it before the
+APT joins. ``collect_question`` counts the side sizes on PT's rows, and
+``SupportEvaluator`` scores the projections.
 ``compute_support`` scores patterns with batched Spark aggregations,
 without collecting the APT. No pipeline or experiment calls it: it is the
 reference for reported supports that the tests, the benchmark's output
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -251,34 +251,75 @@ def _prepared(
     and ``__hash`` (``__g`` = the graph's index).
 
     The sided PT is one projection plus a filter (:func:`_with_side`), and
-    each union branch one projection of its own columns: ``unionByName``
-    pads a column a branch lacks with a NULL of its type. The last plan
-    built over ``pt`` is memoised on it. Re-running that DataFrame reuses
-    its physical plan, so Spark skips the shuffle stages an earlier run
-    already wrote."""
-    key = (graphs, seed, repr(t1), repr(t2))
-    if pt.prepared is None or pt.prepared[0] != key:
-        sided = _with_side(
-            pt.df, pt.group_cols, t1, t2,
-            f"{_bucket(seed)} AS {quote(BUCKET)}",
+    each union branch one projection of its own columns. The branches are
+    combined by a balanced tree of ``unionByName`` calls, which pad a column
+    a branch lacks with a NULL of its type: a left-deep chain would make
+    each call analyse the whole union so far."""
+    sided = _with_side(
+        pt.df, pt.group_cols, t1, t2, f"{_bucket(seed)} AS {quote(BUCKET)}"
+    )
+    base = replace(pt, df=sided, known_rows=None)
+    apts = [materialize_apt(db, base, jg) for jg in graphs]
+    tuple_cols = [quote(c) for c in (PT_ID, SIDE, BUCKET)]
+    branches = [sided.selectExpr(*tuple_cols, f"-1 AS {quote(GRAPH)}")] + [
+        apt.df.selectExpr(
+            *tuple_cols,
+            *[quote(c) for c in apt.pattern_cols],
+            f"{_row_hash(apt.pattern_cols, seed)} AS {quote(ROW_HASH)}",
+            f"{i} AS {quote(GRAPH)}",
         )
-        base = replace(pt, df=sided, known_rows=None)
-        apts = [materialize_apt(db, base, jg) for jg in graphs]
-        tuple_cols = [quote(c) for c in (PT_ID, SIDE, BUCKET)]
-        branches = [sided.selectExpr(*tuple_cols, f"-1 AS {quote(GRAPH)}")] + [
-            apt.df.selectExpr(
-                *tuple_cols,
-                *[quote(c) for c in apt.pattern_cols],
-                f"{_row_hash(apt.pattern_cols, seed)} AS {quote(ROW_HASH)}",
-                f"{i} AS {quote(GRAPH)}",
-            )
-            for i, apt in enumerate(apts)
-        ]
-        union = reduce(
-            lambda a, b: a.unionByName(b, allowMissingColumns=True), branches
+        for i, apt in enumerate(apts)
+    ]
+    while len(branches) > 1:
+        pairs = zip(branches[::2], branches[1::2])
+        branches = [
+            a.unionByName(b, allowMissingColumns=True) for a, b in pairs
+        ] + branches[len(branches) & ~1:]
+    return branches[0], apts
+
+
+@dataclass(frozen=True, eq=False)
+class CollectedRows:
+    """What one collect of a question's plan (:func:`_prepared`) returned,
+    without the union's NULL padding: PT's rows on the two sides as their
+    ``__side`` and ``__bucket`` arrays, and per join graph its APT and its
+    rows (``__pt_id``, ``__side``, ``__bucket``, pattern columns,
+    ``__hash``) as an Arrow table. Nothing in it depends on λ_F1-samp."""
+
+    side: np.ndarray
+    bucket: np.ndarray
+    apts: tuple[APT, ...]
+    parts: tuple[pa.Table, ...]
+
+    @classmethod
+    def split(cls, table: pa.Table, apts: Sequence[APT]) -> "CollectedRows":
+        """Split the union's Arrow table per ``__g``, keeping each branch's
+        rows in their collected order and only its own columns."""
+        tag = table.column(GRAPH).to_numpy()
+        order = np.argsort(tag, kind="stable")
+        bounds = np.searchsorted(tag[order], np.arange(-1, len(apts) + 1))
+
+        def rows(i: int, cols: list[str]) -> pa.Table:
+            return table.select(cols).take(order[bounds[i + 1] : bounds[i + 2]])
+
+        lead = rows(-1, [SIDE, BUCKET])
+        return cls(
+            side=lead.column(SIDE).to_numpy(),
+            bucket=lead.column(BUCKET).to_numpy(),
+            apts=tuple(apts),
+            parts=tuple(
+                rows(i, [PT_ID, SIDE, BUCKET, *apt.pattern_cols, ROW_HASH])
+                for i, apt in enumerate(apts)
+            ),
         )
-        pt.prepared = (key, (union, apts))
-    return pt.prepared[1]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the two arrays and every part's Arrow buffers."""
+        return (
+            self.side.nbytes + self.bucket.nbytes
+            + sum(p.nbytes for p in self.parts)
+        )
 
 
 def collect_question(
@@ -291,29 +332,28 @@ def collect_question(
     seed: int = 0,
 ) -> QuestionSides:
     """Split PT into the question's sides and collect the APT projection of
-    every join graph in ``graphs`` (over ``db``), with one Spark action.
-    With no graphs, it gives the side sizes only.
+    every join graph in ``graphs`` (over ``db``), with at most one Spark
+    action. With no graphs, it gives the side sizes only.
 
     The action is one Arrow collect of the question's plan
-    (:func:`_prepared`), memoised on ``pt`` for a repeated question. Its
-    table is split per ``__g`` in Arrow. PT's branch gives the side sizes,
-    and every row carries its PT tuple's side and λ_F1-samp draw, so each
-    graph's ``__f1`` flag is computed before any pandas conversion. A
-    column missing from a branch is NULL on that branch's rows, so a pandas
-    frame of the whole union would turn every such integer column into
-    float64, ``__hash`` included.
+    (:func:`_prepared`). Its rows are split per ``__g``
+    (:class:`CollectedRows`) and memoised on ``pt``, keyed by (graphs, seed,
+    question), so a repeated question runs no Spark job, whatever its
+    λ_F1-samp. PT's rows give the side sizes, and every row carries its PT
+    tuple's side and λ_F1-samp draw, so each graph's ``__f1`` flag is
+    computed before any pandas conversion. A column missing from a branch
+    is NULL on that branch's rows, so a pandas frame of the whole union
+    would turn every such integer column into float64, ``__hash`` included.
 
     Raises ``ValueError`` when a side has no provenance. When the F-score
     sample misses a side entirely, every tuple counts instead."""
-    union, apts = _prepared(db, pt, tuple(graphs), t1, t2, seed)
-    table = union.toArrow()
-    tag = table.column(GRAPH)
-
-    def branch(i: int) -> pa.Table:
-        return table.filter(pc.equal(tag, i))
-
-    lead = branch(-1)
-    side = lead.column(SIDE).to_numpy()
+    graphs = tuple(graphs)
+    key = (graphs, seed, repr(t1), repr(t2))
+    if pt.prepared is None or pt.prepared[0] != key:
+        union, apts = _prepared(db, pt, graphs, t1, t2, seed)
+        pt.prepared = (key, CollectedRows.split(union.toArrow(), apts))
+    rows = pt.prepared[1]
+    side = rows.side
     n1, n2 = int(np.count_nonzero(side == 1)), int(np.count_nonzero(side == 2))
     if n1 == 0:
         raise ValueError(f"question tuple t1={t1} has no provenance in PT(Q, D)")
@@ -326,7 +366,7 @@ def collect_question(
         )
     threshold = _f1_threshold(f1_samp)
     if threshold is not None:
-        flag = lead.column(BUCKET).to_numpy() < threshold
+        flag = rows.bucket < threshold
         s1 = int(np.count_nonzero((side == 1) & flag))
         s2 = int(np.count_nonzero((side == 2) & flag))
         if s1 == 0 or s2 == 0:
@@ -334,8 +374,7 @@ def collect_question(
         else:
             n1, n2 = s1, s2
     collected = {}
-    for i, (jg, apt) in enumerate(zip(graphs, apts)):
-        part = branch(i)
+    for jg, apt, part in zip(graphs, rows.apts, rows.parts):
         flag = (
             pc.less(part.column(BUCKET), threshold) if threshold is not None
             else pa.array(np.ones(len(part), dtype=bool))

@@ -9,9 +9,9 @@ join graphs; ``mine_apt`` times the others per graph:
                        projection of every join graph ``explain`` mines
                        (``__pt_id``, side, F-score-sample flag, pattern
                        columns, content hash; the side and the sample draw
-                       come from the sided PT the APT is built on), with a
-                       plan memoised on PT. A repeated question re-runs
-                       that plan instead of building one.
+                       come from the sided PT the APT is built on). The
+                       collected rows are memoised on PT: a repeated
+                       question, at any λ_F1-samp, runs no Spark job.
   Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
   Sampling for F1    — keep the collected rows of the deterministic PT-tuple

@@ -27,9 +27,9 @@ def _warm_up(spark: SparkSession, dataset: str, sf: float, n_edges: int) -> None
 def _run(spark: SparkSession, dataset: str, sf: float, **params_over):
     """One timed configuration, run here rather than taken from
     ``run_explain``'s memo, whose entry another table may have timed under
-    other conditions. The PT's prepared collect plan is dropped first, so
+    other conditions. The rows memoised on the PT are dropped first, so
     "Materialize APTs" times the APT joins, as the paper's breakdown does,
-    not a re-run of an earlier configuration's plan."""
+    not a reuse of an earlier configuration's rows."""
     db, sg = get_dataset(spark, dataset, sf)
     for pt in db.pts.values():
         pt.prepared = None

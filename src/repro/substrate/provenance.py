@@ -47,11 +47,12 @@ class ProvenanceTable:
     ``known_rows`` is the count once held (else None, no Spark job), and
     ``n_rows`` counts PT the first time it is read and holds the count.
 
-    ``prepared`` memoises the last collect plan ``metrics.collect_question``
-    built over this PT, keyed by (join graphs, seed, question). It lives and
-    dies with this object: a recomputed PT, or one dropped by
-    ``Database.add``, starts with none. Setting it to None makes the next
-    collect build and run its APT joins again."""
+    ``prepared`` memoises the rows of the last collect
+    ``metrics.collect_question`` ran over this PT (a
+    ``metrics.CollectedRows``), keyed by (join graphs, seed, question); no
+    Spark plan is held. It lives and dies with this object: a recomputed
+    PT, or one dropped by ``Database.add``, starts with none. Setting it to
+    None makes the next collect build and run its APT joins again."""
 
     query: AggQuery
     df: DataFrame               # prov_* columns + group output columns + __pt_id

@@ -154,7 +154,7 @@ def test_topk_independent_of_shuffle_partitions(spark, mimic_db, mimic_result):
     try:
         for n in ("1", "7", "64"):
             spark.conf.set(key, n)
-            # A prepared plan keeps the physical plan of its first run.
+            # Collect again under this partition count.
             mimic_result.pt.prepared = None
             got = _signature(_mimic_explain(mimic_db), MIMIC_PARAMS.k)
             assert got == want, f"{key}={n}"
@@ -162,18 +162,71 @@ def test_topk_independent_of_shuffle_partitions(spark, mimic_db, mimic_result):
         spark.conf.set(key, saved)
 
 
-def test_warm_explain_makes_one_action(
+def test_warm_explain_runs_no_spark_action_or_job(
     mimic_db, mimic_result, action_counter, job_counter
 ):
-    """With PT and the catalog statistics cached, the question's side sizes
-    and every mined graph's APT projection come from one action. It re-runs
-    the prepared plan, so Spark skips the stages that ran before and the
-    action is one job, not one per shuffle stage."""
+    """With PT and the catalog statistics cached, a repeated question takes
+    its side sizes and every mined graph's APT projection from the rows its
+    first call collected and memoised on PT: no Spark action, no job."""
     before, jobs = action_counter["n"], job_counter()
     res = _mimic_explain(mimic_db)
     assert res.n_mined >= 2
-    assert action_counter["n"] - before == 1
-    assert job_counter() - jobs == 1
+    assert action_counter["n"] - before == 0
+    assert job_counter() - jobs == 0
+
+
+def test_dropped_memo_runs_the_collect_again(
+    mimic_db, mimic_result, action_counter, job_counter
+):
+    """Dropping the memoised rows (``pt.prepared = None``, as the runtime
+    experiments do before each timed configuration) makes the next call
+    run the question's collect, so "Materialize APTs" times the APT
+    joins."""
+    mimic_result.pt.prepared = None
+    before, jobs = dict(action_counter), job_counter()
+    res = _mimic_explain(mimic_db)
+    ran = {k: action_counter[k] - before[k] for k in before if k != "depth"}
+    assert ran == {"n": 1, "count": 0, "collect": 0, "toPandas": 0, "toArrow": 1}
+    assert job_counter() - jobs >= 1
+    assert _signature(res, MIMIC_PARAMS.k) == _signature(
+        mimic_result, MIMIC_PARAMS.k
+    )
+
+
+def test_f1_sampling_sweep_reuses_one_collect(
+    mimic_db, mimic_result, job_counter
+):
+    """λ_F1-samp is applied to the memoised rows: a sweep over it on one
+    question runs Spark jobs on its first call only, down to a rate whose
+    sample misses a side (every tuple counts). Each rate's side sizes
+    equal ``pt_sizes``, and its frames those of a fresh collect."""
+    from repro.core.metrics import collect_question, pt_sizes
+    from repro.workload import UQ_MIMIC4 as uq
+
+    pt, seed = mimic_result.pt, MIMIC_PARAMS.seed
+    graphs = [mimic_result.join_graphs[i] for i in mimic_result.mined]
+    rates = (1.0, 0.5, 0.0001)
+
+    def collect(rate):
+        return collect_question(mimic_db, pt, graphs, uq.t1, uq.t2, rate, seed)
+
+    pt.prepared = None
+    swept = []
+    for rate in rates:
+        jobs = job_counter()
+        swept.append(collect(rate))
+        ran = job_counter() - jobs
+        assert ran >= 1 if rate == rates[0] else ran == 0, rate
+    assert [s.f1_samp for s in swept] == [None, 0.5, None]
+    for rate, got in zip(rates, swept):
+        assert (got.n1, got.n2) == pt_sizes(pt, uq.t1, uq.t2, got.f1_samp, seed)
+        pt.prepared = None
+        fresh = collect(rate)
+        assert (fresh.n1, fresh.n2, fresh.f1_samp) == (got.n1, got.n2, got.f1_samp)
+        for jg in graphs:
+            frame, want = got.collected[jg][1], fresh.collected[jg][1]
+            assert frame.dtypes.equals(want.dtypes)
+            assert frame.equals(want), (rate, jg.describe())
 
 
 def test_cold_explain_makes_one_action(mimic_db, fresh_db, action_counter):
@@ -205,11 +258,12 @@ def test_reported_supports_match_fresh_apts(
     if t2:
         res = mimic_result
     else:
-        # Another question builds its own plan; asked again, it re-runs it.
+        # Another question collects its own rows; asked again, it reuses
+        # them.
         _mimic_explain(mimic_db, t2=None)
         before = job_counter()
         res = _mimic_explain(mimic_db, t2=None)
-        assert job_counter() - before == 1
+        assert job_counter() - before == 0
     t2_ = uq.t2 if t2 else None
     f1 = collect_question(
         None, res.pt, (), uq.t1, t2_, MIMIC_PARAMS.f1_samp, MIMIC_PARAMS.seed

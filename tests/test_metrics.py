@@ -676,12 +676,12 @@ def test_pandas_side_equals_spark_side_col(spark, case):
         assert np.array_equal(got, want), (t1, t2)
 
 
-def test_prepared_plan_is_reused_and_dropped_with_its_pt(
-    spark, toy_db, toy_query, apt
+def test_collected_rows_are_reused_and_dropped_with_their_pt(
+    spark, toy_db, toy_query, apt, job_counter
 ):
-    """The last collect plan is memoised per PT: a repeated question reuses
-    it, while another question, ``Database.add`` and a recomputed PT each
-    build a new one."""
+    """The rows of the last collect are memoised per PT: a repeated
+    question reuses them and runs no Spark job, while another question,
+    ``Database.add`` and a recomputed PT each collect anew."""
     from repro.core.metrics import collect_question
     from repro.substrate.catalog import Database
     from repro.substrate.provenance import compute_pt
@@ -691,20 +691,22 @@ def test_prepared_plan_is_reused_and_dropped_with_its_pt(
         db.add(name, toy_db.df(name), toy_db.pk(name))
     pt = compute_pt(db, toy_query)
 
-    def plan(pt):
-        return pt.prepared[1][0]
+    def rows(pt):
+        return pt.prepared[1]
 
     first = collect_question(db, pt, [apt.jg], T1, T2)
-    first_plan = plan(pt)
+    first_rows = rows(pt)
+    jobs = job_counter()
     again = collect_question(db, pt, [apt.jg], dict(T1), dict(T2))
-    assert plan(pt) is first_plan
+    assert job_counter() == jobs
+    assert rows(pt) is first_rows
     assert again.collected[apt.jg][1].equals(first.collected[apt.jg][1])
     other = collect_question(db, pt, [apt.jg], T1, None)
-    other_plan = plan(pt)
-    assert other_plan is not first_plan
+    other_rows = rows(pt)
+    assert other_rows is not first_rows
     assert (first.n1, first.n2, other.n1, other.n2) == (3, 1, 3, 1)
     collect_question(db, pt, [apt.jg], T1, T2)
-    assert plan(pt) not in (first_plan, other_plan)
+    assert rows(pt) not in (first_rows, other_rows)
 
     # Drop the 2016-01-22 game (2015-16, two scoring rows).
     db.add("game", toy_db.df("game").filter("day != 22"), toy_db.pk("game"))
@@ -713,14 +715,32 @@ def test_prepared_plan_is_reused_and_dropped_with_its_pt(
     sides = collect_question(db, added, [apt.jg], T1, T2)
     assert (sides.n1, sides.n2) == (2, 1)
     assert len(sides.collected[apt.jg][1]) == len(first.collected[apt.jg][1]) - 2
-    added_plan = plan(added)
+    added_rows = rows(added)
 
     added.df.unpersist()
     recomputed = compute_pt(db, toy_query)
     assert recomputed is not added and recomputed.prepared is None
     again = collect_question(db, recomputed, [apt.jg], T1, T2)
-    assert plan(recomputed) is not added_plan
+    assert rows(recomputed) is not added_rows
     assert (again.n1, again.n2) == (2, 1)
+
+
+def test_collected_rows_hold_no_union_padding(apt, toy_db, toy_pt):
+    """Each graph's memoised part holds its own rows and columns only, not
+    the NULLs that pad the union's other branches."""
+    from repro.core.join_graph import empty_join_graph
+    from repro.core.metrics import BUCKET, ROW_HASH, SIDE
+
+    jgs = [empty_join_graph(), apt.jg]
+    sides = collect_question(toy_db, toy_pt, jgs, T1, T2)
+    rows = toy_pt.prepared[1]
+    assert len(rows.side) == len(rows.bucket) == sides.n1 + sides.n2
+    for jg, part in zip(jgs, rows.parts):
+        graph_apt, frame = sides.collected[jg]
+        assert part.column_names == [
+            PT_ID, SIDE, BUCKET, *graph_apt.pattern_cols, ROW_HASH
+        ]
+        assert part.num_rows == len(frame)
 
 
 def test_question_values_are_cast_to_their_group_column_types(spark):
